@@ -26,11 +26,11 @@ platform.start()
 
 config = {
     "functions": {fn: {"platform": "a"} for fn in app.function_names},
-    "platforms": {"a": {"admin_endpoint": platform.admin_endpoint, "port": platform._port}},
+    "platforms": {"a": {"admin_endpoint": platform.base_url, "port": platform._port}},
     "external_services": {"kv": kv.endpoint},
 }
 artifacts = compile_deployment(app, config)
-client = AdminClient(platform.admin_endpoint)
+client = AdminClient(platform.base_url)
 chain = ("frontend", "addcartitem", "cartkvstorage")
 for artifact in artifacts:
     if artifact.fn in chain:

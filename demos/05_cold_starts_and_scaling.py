@@ -40,11 +40,11 @@ for preset in ("scaler", "queuer"):
     platform.start()
     config = {
         "functions": {fn: {"platform": "a"} for fn in app.function_names},
-        "platforms": {"a": {"admin_endpoint": platform.admin_endpoint, "port": platform._port}},
+        "platforms": {"a": {"admin_endpoint": platform.base_url, "port": platform._port}},
         "external_services": {"kv": "http://127.0.0.1:1/kv"},
     }
     artifacts = {a.fn: a for a in compile_deployment(app, config)}
-    AdminClient(platform.admin_endpoint).deploy(artifacts["listproducts"].to_doc())
+    AdminClient(platform.base_url).deploy(artifacts["listproducts"].to_doc())
     endpoint = function_endpoint(platform.base_url, "listproducts")
 
     burst(endpoint, 8)   # fresh deployment: cold starts

@@ -327,11 +327,8 @@ def decompose(tree: CallTree) -> LatencyBreakdown:
     per_query: list[QuerySample] = []
     flagged = False
 
-    child_by_pair = {}
-    if tree.root is not None:
-        child_by_pair = {span.pair_id: span for span in tree.root.walk()}
-
     spans = list(tree.root.walk()) if tree.root is not None else []
+    child_by_pair = {span.pair_id: span for span in spans}
     for span in spans:
         intervals = [(c.start_us, c.end_us) for c in span.outgoing]
         compute = span.duration_us - _merged_length_us(intervals)
@@ -584,7 +581,7 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
 
     summary_txt = os.path.join(out_dir, "summary.txt")
     with open(summary_txt, "w", encoding="utf-8") as fh:
-        fh.write(summarize(trees, breakdowns))
+        fh.write(summarize(trees, breakdowns, report))
 
     return {
         "functions.csv": functions_csv,
@@ -595,13 +592,19 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
 
 
 def summarize(
-    trees: Sequence[CallTree], breakdowns: Sequence[LatencyBreakdown] | None = None
+    trees: Sequence[CallTree],
+    breakdowns: Sequence[LatencyBreakdown] | None = None,
+    report: ColdStartReport | None = None,
 ) -> str:
     """Plain-text report: per-function boxplot statistics, the stacked
-    compute/network/query aggregates, and the cold-start tally."""
+    compute/network/query aggregates, and the cold-start tally.
+
+    ``breakdowns`` and ``report`` are computed from ``trees`` when not given.
+    """
     if breakdowns is None:
         breakdowns = [decompose(tree) for tree in trees]
-    report = cold_start_report(trees)
+    if report is None:
+        report = cold_start_report(trees)
     lines: list[str] = []
     lines.append("per-function execution duration (us)")
     lines.append(

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, ValidationFailure
+from .errors import ValidationFailure
 
 #: Scheme for function endpoints on a platform host.
 FUNCTION_PATH = "/fn/{name}"
@@ -192,14 +192,6 @@ def compile_deployment(app: Application, config: Mapping) -> list[DeploymentArti
             )
         )
     return artifacts
-
-
-def resolve_endpoint(artifact: DeploymentArtifact, name: str) -> str:
-    """URL for a canonical function name from an artifact's endpoint map."""
-    endpoint = artifact.endpoint_map.get(name)
-    if endpoint is None:
-        raise ConfigurationError(f"no endpoint for function {name!r}")
-    return endpoint
 
 
 def load_config(path: str) -> dict:

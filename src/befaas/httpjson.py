@@ -71,29 +71,20 @@ def _split(url: str) -> tuple[str, int, str]:
 def _exchange(method: str, url: str, body: bytes | None, timeout: float) -> tuple[int, bytes]:
     host, port, path = _split(url)
     headers = {"Content-Type": "application/json"} if body is not None else {}
-    fresh = (host, port) not in _connections()
-    try:
-        conn = _get_connection(host, port, timeout)
+    # A cached connection may have gone stale while idle, so a reused one
+    # gets one retry on a fresh socket. Safe only because the failure mode
+    # of a dead keep-alive socket is failing to send, not to read.
+    reused = (host, port) in _connections()
+    for may_retry in (reused, False):
         try:
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
-            return resp.status, data
-        except (http.client.HTTPException, OSError):
-            _drop_connection(host, port)
-            if fresh:
-                raise
-            # The cached connection may have gone stale while idle; one
-            # retry on a fresh socket. Safe only because the failure mode
-            # of a dead keep-alive socket is failing to send, not to read.
             conn = _get_connection(host, port, timeout)
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
-            data = resp.read()
-            return resp.status, data
-    except (http.client.HTTPException, OSError) as exc:
-        _drop_connection(host, port)
-        raise TransportError(f"{method} {url}: {exc!r}") from exc
+            return resp.status, resp.read()
+        except (http.client.HTTPException, OSError) as exc:
+            _drop_connection(host, port)
+            if not may_retry:
+                raise TransportError(f"{method} {url}: {exc!r}") from exc
 
 
 def _decode(status: int, data: bytes, url: str) -> dict:

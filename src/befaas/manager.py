@@ -190,7 +190,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
                 )
                 platform.start()
                 resources.local_platforms[pid] = platform
-                client = AdminClient(platform.admin_endpoint)
+                client = AdminClient(platform.base_url)
                 resolved["platforms"][pid] = dict(entry, port=platform._port)
                 audit.add("provision", "start_platform", pid, detail=platform.base_url)
             resources.clients[pid] = client

@@ -144,13 +144,12 @@ def profile_from_config(value) -> PlatformProfile:
 class Executor:
     """One runtime instance; serves a single request at a time."""
 
-    __slots__ = ("env", "busy", "last_used", "invocation_count")
+    __slots__ = ("env", "busy", "last_used")
 
     def __init__(self, env_seed: dict[str, str]):
         self.env: dict[str, str] = dict(env_seed)
         self.busy = True  # born claimed
         self.last_used = time.monotonic()
-        self.invocation_count = 0
 
 
 class FunctionHost:
@@ -227,7 +226,6 @@ class FunctionHost:
         with self._cond:
             executor.busy = False
             executor.last_used = time.monotonic()
-            executor.invocation_count += 1
             self.invocations += 1
             self._cond.notify_all()
 
@@ -269,36 +267,25 @@ class SimPlatform:
         self._admin_lock = threading.Lock()
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
-        self._server: _PlatformServer | None = None
+        self._server: _JSONServer | None = None
         skew_us = int(profile.clock_skew_ms * 1000)
         self.clock_us = (lambda: now_us() + skew_us) if skew_us else now_us
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> str:
-        if self._server is not None:
-            return self.base_url
-        self._server = _PlatformServer((self._host, self._port), _PlatformHandler, self)
-        self._port = self._server.server_address[1]
-        thread = threading.Thread(
-            target=self._server.serve_forever, name=f"platform-{self.platform_id}", daemon=True
-        )
-        thread.start()
+        if self._server is None:
+            self._server = _serve(self._host, self._port, self.route, f"platform-{self.platform_id}")
+            self._port = self._server.server_address[1]
         return self.base_url
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        _close(self._server)
+        self._server = None
 
     @property
     def base_url(self) -> str:
         return f"http://{self._host}:{self._port}"
-
-    @property
-    def admin_endpoint(self) -> str:
-        return self.base_url
 
     def _sample_ms(self, spec: DelaySpec) -> float:
         if spec.constant_ms is not None:
@@ -374,6 +361,46 @@ class SimPlatform:
                 "functions": functions,
             }
 
+    # -- HTTP ------------------------------------------------------------------
+
+    def route(self, method: str, path: str, doc: dict) -> tuple[int, dict]:
+        """Answer one request of the platform contract; every body is JSON.
+
+        A new platform is anything that serves these routes:
+
+        - ``POST /fn/<name>``: invoke; the function's response envelope,
+          404 ``unreachable`` for an unknown function, 429 ``throttle``.
+        - ``POST /admin/deploy``: deploy an artifact document; answers
+          ``{"endpoint": url}``, 409 if the function is already deployed.
+        - ``POST /admin/remove/<name>``: ``{"ok": true}``, 404 if unknown.
+        - ``POST /admin/teardown``: remove everything; ``{"ok": true}``.
+        - ``GET /admin/logs/<name>``: ``{"lines": [...]}``, 404 if unknown.
+        - ``GET /admin/stats``: the document of :meth:`stats`.
+        - ``GET /admin/ping``: ``{"platform": platform_id}``.
+
+        Any other request is 404 ``no route: <path>``.
+        """
+        if method == "POST" and path.startswith("/fn/"):
+            return self.handle_invoke(path[len("/fn/"):], doc)
+        try:
+            if method == "POST" and path == "/admin/deploy":
+                return 200, {"endpoint": self.deploy_artifact(doc)}
+            if method == "POST" and path.startswith("/admin/remove/"):
+                self.remove_function(path[len("/admin/remove/"):])
+                return 200, {"ok": True}
+            if method == "POST" and path == "/admin/teardown":
+                self.teardown()
+                return 200, {"ok": True}
+            if method == "GET" and path.startswith("/admin/logs/"):
+                return 200, {"lines": self.fetch_logs(path[len("/admin/logs/"):])}
+        except ConfigurationError as exc:
+            return 409 if path == "/admin/deploy" else 404, _client_error(str(exc))
+        if method == "GET" and path == "/admin/stats":
+            return 200, self.stats()
+        if method == "GET" and path == "/admin/ping":
+            return 200, {"platform": self.platform_id}
+        return 404, _client_error(f"no route: {path}")
+
     # -- invocation ------------------------------------------------------------
 
     def handle_invoke(self, fn: str, request: dict) -> tuple[int, dict]:
@@ -409,32 +436,42 @@ class SimPlatform:
         return envelope_status(envelope), envelope
 
 
-class _PlatformServer(ThreadingHTTPServer):
+def _client_error(message: str) -> dict:
+    return {"error": {"message": message, "kind": "client"}}
+
+
+class _JSONServer(ThreadingHTTPServer):
+    """Serves ``route(method, path, doc) -> (status, doc)`` over HTTP."""
+
     daemon_threads = True
-    disable_nagle_algorithm = True
     # Bursts open many connections at once; the socketserver default
     # backlog of 5 would push the overflow into 1 s SYN retransmits.
     request_queue_size = 128
 
-    def __init__(self, addr, handler_cls, platform: SimPlatform):
-        super().__init__(addr, handler_cls)
-        self.platform = platform
+    def __init__(self, addr, route):
+        super().__init__(addr, _JSONHandler)
+        self.route = route
 
 
 class _JSONHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     timeout = 120
+    server: _JSONServer
 
     def log_message(self, *args):  # keep benchmark output clean
         pass
 
-    def _read_json(self) -> dict:
+    def _handle(self) -> None:
+        # Always drain the body first: an unread body desyncs keep-alive.
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length) if length else b"{}"
         try:
-            return json.loads(body)
+            doc = json.loads(body)
         except json.JSONDecodeError:
-            return {}
+            doc = {}
+        self._respond(*self.server.route(self.command, self.path, doc))
+
+    do_GET = do_POST = _handle
 
     def _respond(self, status: int, doc: dict) -> None:
         body = json.dumps(doc, separators=(",", ":")).encode()
@@ -445,56 +482,16 @@ class _JSONHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-class _PlatformHandler(_JSONHandler):
-    server: _PlatformServer
+def _serve(host: str, port: int, route, name: str) -> _JSONServer:
+    server = _JSONServer((host, port), route)
+    threading.Thread(target=server.serve_forever, name=name, daemon=True).start()
+    return server
 
-    def do_POST(self):
-        platform = self.server.platform
-        # Always drain the body first: an unread body desyncs keep-alive.
-        request = self._read_json()
-        if self.path.startswith("/fn/"):
-            status, doc = platform.handle_invoke(self.path[4:], request)
-            self._respond(status, doc)
-            return
-        if self.path == "/admin/deploy":
-            try:
-                endpoint = platform.deploy_artifact(request)
-            except ConfigurationError as exc:
-                self._respond(409, {"error": {"message": str(exc), "kind": "client"}})
-                return
-            self._respond(200, {"endpoint": endpoint})
-            return
-        if self.path.startswith("/admin/remove/"):
-            try:
-                platform.remove_function(self.path[len("/admin/remove/"):])
-            except ConfigurationError as exc:
-                self._respond(404, {"error": {"message": str(exc), "kind": "client"}})
-                return
-            self._respond(200, {"ok": True})
-            return
-        if self.path == "/admin/teardown":
-            platform.teardown()
-            self._respond(200, {"ok": True})
-            return
-        self._respond(404, {"error": {"message": f"no route: {self.path}", "kind": "client"}})
 
-    def do_GET(self):
-        platform = self.server.platform
-        if self.path.startswith("/admin/logs/"):
-            try:
-                lines = platform.fetch_logs(self.path[len("/admin/logs/"):])
-            except ConfigurationError as exc:
-                self._respond(404, {"error": {"message": str(exc), "kind": "client"}})
-                return
-            self._respond(200, {"lines": lines})
-            return
-        if self.path == "/admin/stats":
-            self._respond(200, platform.stats())
-            return
-        if self.path == "/admin/ping":
-            self._respond(200, {"platform": platform.platform_id})
-            return
-        self._respond(404, {"error": {"message": f"no route: {self.path}", "kind": "client"}})
+def _close(server: _JSONServer | None) -> None:
+    if server is not None:
+        server.shutdown()
+        server.server_close()
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +499,31 @@ class _PlatformHandler(_JSONHandler):
 # ---------------------------------------------------------------------------
 
 
+def apply_kv(store: dict, request: dict) -> tuple[int, dict]:
+    """Validate one KV request, apply it to ``store``; return (status, doc).
+
+    Ops are ``get``, ``set`` (needs a ``value``) and ``delete`` of a str
+    ``key``. A get of an absent key is a not-found result, not an error.
+    """
+    op = request.get("op")
+    key = request.get("key")
+    if op not in ("get", "set", "delete") or not isinstance(key, str):
+        return 400, _client_error(f"bad kv request: {request}")
+    if op == "get":
+        return 200, {"found": key in store, "value": store.get(key)}
+    if op == "set":
+        if "value" not in request:
+            return 400, _client_error("set requires a value")
+        store[key] = request["value"]
+        return 200, {"ok": True}
+    return 200, {"ok": True, "existed": store.pop(key, None) is not None}
+
+
 class KVService:
     """Single-node key-value store over HTTP with injected query latency.
 
     Operations are serialized under one lock (linearizable by
     construction); each request sleeps ``query_delay_ms`` per direction.
-    A get of an absent key is a not-found result, not an error.
     """
 
     def __init__(self, query_delay_ms: float = 0.0, host: str = "127.0.0.1", port: int = 0):
@@ -518,74 +534,36 @@ class KVService:
         self._port = port
         self._store: dict[str, object] = {}
         self._lock = threading.Lock()
-        self._server: _KVServer | None = None
+        self._server: _JSONServer | None = None
 
     def start(self) -> str:
-        if self._server is not None:
-            return self.endpoint
-        self._server = _KVServer((self._host, self._port), _KVHandler, self)
-        self._port = self._server.server_address[1]
-        threading.Thread(target=self._server.serve_forever, name="kv-service", daemon=True).start()
+        if self._server is None:
+            self._server = _serve(self._host, self._port, self.route, "kv-service")
+            self._port = self._server.server_address[1]
         return self.endpoint
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        _close(self._server)
+        self._server = None
 
     @property
     def endpoint(self) -> str:
         return f"http://{self._host}:{self._port}/kv"
 
     def handle(self, request: dict) -> tuple[int, dict]:
-        op = request.get("op")
-        key = request.get("key")
-        if op not in ("get", "set", "delete") or not isinstance(key, str):
-            return 400, {"error": {"message": f"bad kv request: {request}", "kind": "client"}}
-        if op == "set" and "value" not in request:
-            return 400, {"error": {"message": "set requires a value", "kind": "client"}}
         precise_sleep_ms(self.query_delay_ms)
         with self._lock:
-            if op == "get":
-                found = key in self._store
-                doc = {"found": found, "value": self._store.get(key)}
-            elif op == "set":
-                self._store[key] = request["value"]
-                doc = {"ok": True}
-            else:
-                existed = self._store.pop(key, None) is not None
-                doc = {"ok": True, "existed": existed}
+            status, doc = apply_kv(self._store, request)
         precise_sleep_ms(self.query_delay_ms)
-        return 200, doc
+        return status, doc
 
-
-class _KVServer(ThreadingHTTPServer):
-    daemon_threads = True
-    disable_nagle_algorithm = True
-    request_queue_size = 128
-
-    def __init__(self, addr, handler_cls, service: KVService):
-        super().__init__(addr, handler_cls)
-        self.service = service
-
-
-class _KVHandler(_JSONHandler):
-    server: _KVServer
-
-    def do_POST(self):
-        request = self._read_json()
-        if self.path == "/kv":
-            status, doc = self.server.service.handle(request)
-            self._respond(status, doc)
-            return
-        self._respond(404, {"error": {"message": f"no route: {self.path}", "kind": "client"}})
-
-    def do_GET(self):
-        if self.path == "/ping":
-            self._respond(200, {"ok": True})
-            return
-        self._respond(404, {"error": {"message": f"no route: {self.path}", "kind": "client"}})
+    def route(self, method: str, path: str, doc: dict) -> tuple[int, dict]:
+        """``POST /kv`` runs :meth:`handle`; ``GET /ping`` answers ``{"ok": true}``."""
+        if method == "POST" and path == "/kv":
+            return self.handle(doc)
+        if method == "GET" and path == "/ping":
+            return 200, {"ok": True}
+        return 404, _client_error(f"no route: {path}")
 
 
 # ---------------------------------------------------------------------------

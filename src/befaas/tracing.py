@@ -63,12 +63,6 @@ _id_lock = threading.Lock()
 _id_rng = random.Random()
 
 
-def seed_ids(seed: int | str | None) -> None:
-    """Reseed the shared id source (None restores entropy-based seeding)."""
-    with _id_lock:
-        _id_rng.seed(seed)
-
-
 def new_id(rng: random.Random | None = None) -> str:
     """Return a fresh 128-bit identifier as 32 lowercase hex characters.
 
@@ -334,18 +328,12 @@ def wrap_handler(fn_name: str, business_logic: Callable[[Any, CallContext], Any]
         payload = request.get("payload") if isinstance(request, dict) else request
         try:
             result = business_logic(payload, ctx)
-        except BusinessError as exc:
-            ctx._event("invocation_end", error=True)
-            return _error_envelope(context_id, str(exc), exc.kind)
-        except CalleeError as exc:
-            ctx._event("invocation_end", error=True)
-            return _error_envelope(context_id, str(exc), exc.kind)
-        except (TransportError, ThrottleError, ConfigurationError) as exc:
-            ctx._event("invocation_end", error=True)
-            return _error_envelope(context_id, str(exc), "server")
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             ctx._event("invocation_end", error=True)
-            return _error_envelope(context_id, f"{type(exc).__name__}: {exc}", "server")
+            kind = exc.kind if isinstance(exc, (BusinessError, CalleeError)) else "server"
+            known = (BusinessError, CalleeError, TransportError, ThrottleError, ConfigurationError)
+            message = str(exc) if isinstance(exc, known) else f"{type(exc).__name__}: {exc}"
+            return _error_envelope(context_id, message, kind)
         ctx._event("invocation_end")
         return {ENVELOPE_KEY: {"ctx": context_id}, "payload": result}
 

@@ -3,7 +3,8 @@
 Dispatches function calls and KV operations directly through the token
 envelope protocol, so the tracing behavior under test is exactly the
 production path minus HTTP and injected delays. One warm executor per
-function; carts live in a plain dict.
+function; carts live in a plain dict, updated by the served KV store's
+own ``apply_kv``.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 
 from befaas import registry
 from befaas.errors import TransportCallError
+from befaas.simplatform import apply_kv
 from befaas.tracing import ENVELOPE_KEY, HandlerRuntime, envelope_status
 
 
@@ -19,7 +21,6 @@ class LocalHarness:
         self.app = app or registry.get_app("webshop")
         self.platform = platform
         self.kv_store: dict = {}
-        self.kv_ops: list[str] = []
         self.lines: dict[str, list[str]] = {fn: [] for fn in self.app.function_names}
         self.executor_envs: dict[str, dict] = {fn: {} for fn in self.app.function_names}
         self.endpoint_map = {fn: f"http://local/fn/{fn}" for fn in self.app.function_names}
@@ -31,26 +32,14 @@ class LocalHarness:
 
     def transport(self, url: str, doc: dict) -> dict:
         if url.endswith("/kv"):
-            return self._kv(doc)
-        name = url.rsplit("/", 1)[-1]
-        handler = self.app.handlers[name]
-        envelope = handler(doc, self._runtime(name))
-        status = envelope_status(envelope)
+            status, response = apply_kv(self.kv_store, doc)
+        else:
+            name = url.rsplit("/", 1)[-1]
+            response = self.app.handlers[name](doc, self._runtime(name))
+            status = envelope_status(response)
         if status != 200:
-            raise TransportCallError(status, envelope)
-        return envelope
-
-    def _kv(self, doc: dict) -> dict:
-        op, key = doc["op"], doc["key"]
-        self.kv_ops.append(op)
-        if op == "get":
-            return {"found": key in self.kv_store, "value": self.kv_store.get(key)}
-        if op == "set":
-            self.kv_store[key] = doc["value"]
-            return {"ok": True}
-        if op == "delete":
-            return {"ok": True, "existed": self.kv_store.pop(key, None) is not None}
-        raise AssertionError(f"bad kv op {op}")
+            raise TransportCallError(status, response)
+        return response
 
     def _runtime(self, name: str) -> HandlerRuntime:
         return HandlerRuntime(

@@ -170,12 +170,12 @@ def test_criterion_3_decomposition_recovery(tmp_path):
                     for fn in APP.function_names
                 },
                 "platforms": {
-                    "a": {"admin_endpoint": platform.admin_endpoint, "port": platform._port}
+                    "a": {"admin_endpoint": platform.base_url, "port": platform._port}
                 },
                 "external_services": {"kv": kv.endpoint},
             }
             artifacts = compile_deployment(APP, config)
-            client = AdminClient(platform.admin_endpoint)
+            client = AdminClient(platform.base_url)
             chain_fns = {"frontend", "addcartitem", "cartkvstorage"}
             for artifact in artifacts:
                 if artifact.fn in chain_fns:
@@ -244,12 +244,12 @@ def test_criterion_4_cold_start_detection():
             config = {
                 "functions": {fn: {"platform": "a"} for fn in APP.function_names},
                 "platforms": {
-                    "a": {"admin_endpoint": platform.admin_endpoint, "port": platform._port}
+                    "a": {"admin_endpoint": platform.base_url, "port": platform._port}
                 },
                 "external_services": {"kv": "http://127.0.0.1:1/kv"},
             }
             artifacts = {a.fn: a for a in compile_deployment(APP, config)}
-            client = AdminClient(platform.admin_endpoint)
+            client = AdminClient(platform.base_url)
             client.deploy(artifacts["listproducts"].to_doc())
             endpoint = function_endpoint(platform.base_url, "listproducts")
 
@@ -341,13 +341,13 @@ def test_criterion_6_skew_robustness():
                     for fn in APP.function_names
                 },
                 "platforms": {
-                    "a": {"admin_endpoint": platform_a.admin_endpoint, "port": platform_a._port},
-                    "b": {"admin_endpoint": platform_b.admin_endpoint, "port": platform_b._port},
+                    "a": {"admin_endpoint": platform_a.base_url, "port": platform_a._port},
+                    "b": {"admin_endpoint": platform_b.base_url, "port": platform_b._port},
                 },
                 "external_services": {"kv": kv.endpoint},
             }
             artifacts = compile_deployment(APP, config)
-            clients = {"a": AdminClient(platform_a.admin_endpoint), "b": AdminClient(platform_b.admin_endpoint)}
+            clients = {"a": AdminClient(platform_a.base_url), "b": AdminClient(platform_b.base_url)}
             chain_fns = {"frontend", "addcartitem", "cartkvstorage"}
             for artifact in artifacts:
                 if artifact.fn in chain_fns:

@@ -5,10 +5,9 @@ import pytest
 from befaas.compiler import (
     compile_deployment,
     function_endpoint,
-    resolve_endpoint,
     validate,
 )
-from befaas.errors import ConfigurationError, ValidationFailure
+from befaas.errors import ValidationFailure
 from befaas.webshop import build_app
 
 APP = build_app()
@@ -133,14 +132,9 @@ class TestCompile:
 class TestResolveEndpoint:
     def test_resolve_known(self):
         artifacts = compile_deployment(APP, single_platform_config())
-        assert resolve_endpoint(artifacts[0], "checkout") == "http://127.0.0.1:9001/fn/checkout"
-
-    def test_resolve_unknown_is_config_error(self):
-        artifacts = compile_deployment(APP, single_platform_config())
-        with pytest.raises(ConfigurationError):
-            resolve_endpoint(artifacts[0], "ghost")
+        assert artifacts[0].endpoint_map["checkout"] == "http://127.0.0.1:9001/fn/checkout"
 
     def test_all_artifacts_agree(self):
         artifacts = compile_deployment(APP, split_config())
-        urls = {resolve_endpoint(a, "getcart") for a in artifacts}
+        urls = {a.endpoint_map["getcart"] for a in artifacts}
         assert len(urls) == 1

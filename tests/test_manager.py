@@ -83,18 +83,18 @@ def test_mini_run_produces_complete_bundle(tmp_path):
 
 def test_attached_platform_is_not_stopped_and_reports_zero_deployments(tmp_path, make_platform):
     platform = make_platform(platform_id="external-a", profile=FAST_PROFILE)
-    config = make_config(platforms={"a": {"admin_endpoint": platform.admin_endpoint}})
+    config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}})
     plan = ExperimentPlan(config=config, out_dir=str(tmp_path / "bundle"))
     bundle = run_experiment(plan)
     assert bundle.audit["scheduled_workflows"] == 8
     # Functions removed from the attached platform, which keeps running.
     assert platform.stats()["deployment_count"] == 0
-    assert AdminClient(platform.admin_endpoint).ping() == "external-a"
+    assert AdminClient(platform.base_url).ping() == "external-a"
 
 
 def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
     platform = make_platform(platform_id="external-a", profile=FAST_PROFILE)
-    config = make_config(platforms={"a": {"admin_endpoint": platform.admin_endpoint}})
+    config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}})
 
     # Deploy and run a single workflow by hand, then poison one stream.
     from befaas.compiler import compile_deployment
@@ -107,11 +107,11 @@ def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
         resolved = json.loads(json.dumps(config))
         resolved["external_services"]["kv"] = kv.endpoint
         resolved["platforms"]["a"] = {
-            "admin_endpoint": platform.admin_endpoint,
+            "admin_endpoint": platform.base_url,
             "host": "127.0.0.1",
             "port": platform._port,
         }
-        client = AdminClient(platform.admin_endpoint)
+        client = AdminClient(platform.base_url)
         artifacts = compile_deployment(APP, resolved)
         for artifact in artifacts:
             client.deploy(artifact.to_doc())
@@ -140,7 +140,7 @@ def test_unreachable_platform_recorded_others_collected(make_platform):
 
     dead = AdminClient("http://127.0.0.1:1")
     events, rejects, errors = collect_logs(
-        {"a": AdminClient(platform.admin_endpoint), "b": dead},
+        {"a": AdminClient(platform.base_url), "b": dead},
         {"a": ["sleepy"], "b": ["ghost"]},
     )
     assert "b" in errors
@@ -155,7 +155,7 @@ def test_deployment_collision_fails_run_but_writes_bundle_and_tears_down(tmp_pat
     platform.deploy_artifact(
         artifact_for("frontend", platform, app=APP, env={})
     )
-    config = make_config(platforms={"a": {"admin_endpoint": platform.admin_endpoint}})
+    config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}})
     out = str(tmp_path / "bundle")
     with pytest.raises(RuntimeFailure) as err:
         run_experiment(ExperimentPlan(config=config, out_dir=out))

@@ -17,6 +17,7 @@ from befaas.simplatform import (
 )
 from befaas.tracing import wrap_handler
 from befaas.webshop import build_app
+from localharness import LocalHarness
 
 APP = build_app()
 
@@ -73,7 +74,7 @@ class TestAdminSurface:
 
     def test_duplicate_deploy_rejected(self, make_platform):
         platform = make_platform()
-        client = AdminClient(platform.admin_endpoint)
+        client = AdminClient(platform.base_url)
         client.deploy(artifact_for("sleepy", platform))
         with pytest.raises(TransportCallError) as err:
             client.deploy(artifact_for("sleepy", platform))
@@ -107,7 +108,7 @@ class TestAdminSurface:
 
     def test_unknown_fn_logs_is_error(self, make_platform):
         platform = make_platform()
-        client = AdminClient(platform.admin_endpoint)
+        client = AdminClient(platform.base_url)
         with pytest.raises(TransportCallError) as err:
             client.logs("ghost")
         assert err.value.status == 404
@@ -154,6 +155,61 @@ class TestAdminSurface:
         platform.teardown()
         platform.teardown()
         assert platform.stats()["deployment_count"] == 0
+
+
+def exchange(method, url, doc=None):
+    """(status, decoded body) of one real HTTP exchange."""
+    try:
+        if method == "GET":
+            return 200, httpjson.get_json(url)
+        return 200, httpjson.post_json(url, doc)
+    except TransportCallError as exc:
+        return exc.status, exc.body
+
+
+# The wire contract of both servers. A str body on /admin/deploy names the
+# function whose artifact is sent; "sleepy" is deployed before each case.
+ROUTES = [
+    ("platform", "POST", "/admin/deploy", "boom", 200, None),
+    ("platform", "POST", "/admin/deploy", "sleepy", 409, "client"),
+    ("platform", "POST", "/admin/remove/sleepy", {}, 200, None),
+    ("platform", "POST", "/admin/remove/ghost", {}, 404, "client"),
+    ("platform", "GET", "/admin/logs/sleepy", None, 200, None),
+    ("platform", "GET", "/admin/logs/ghost", None, 404, "client"),
+    ("platform", "GET", "/admin/ping", None, 200, None),
+    ("platform", "GET", "/admin/stats", None, 200, None),
+    ("platform", "POST", "/admin/teardown", {}, 200, None),
+    ("platform", "POST", "/fn/sleepy", {"payload": {}}, 200, None),
+    ("platform", "POST", "/fn/ghost", {"payload": {}}, 404, "unreachable"),
+    ("platform", "GET", "/fn/x", None, 404, "client"),
+    ("platform", "POST", "/nope", {}, 404, "client"),
+    ("platform", "GET", "/nope", None, 404, "client"),
+    ("kv", "GET", "/ping", None, 200, None),
+    ("kv", "POST", "/kv", {"op": "get", "key": "k"}, 200, None),
+    ("kv", "POST", "/kv", {"op": "bogus", "key": "k"}, 400, "client"),
+    ("kv", "POST", "/kv", {"op": "set", "key": "k"}, 400, "client"),
+    ("kv", "POST", "/nope", {}, 404, "client"),
+    ("kv", "GET", "/kv", None, 404, "client"),
+]
+NO_ROUTE = {("platform", "GET", "/fn/x"), ("platform", "POST", "/nope"),
+            ("platform", "GET", "/nope"), ("kv", "POST", "/nope"), ("kv", "GET", "/kv")}
+
+
+@pytest.mark.parametrize("server, method, path, body, status, kind", ROUTES)
+def test_route_contract(make_platform, make_kv, server, method, path, body, status, kind):
+    if server == "platform":
+        platform = make_platform()
+        platform.deploy_artifact(artifact_for("sleepy", platform))
+        base_url = platform.base_url
+        if isinstance(body, str):
+            body = artifact_for(body, platform)
+    else:
+        base_url = make_kv().endpoint[: -len("/kv")]
+    got_status, doc = exchange(method, base_url + path, body)
+    assert got_status == status
+    assert (doc["error"]["kind"] if "error" in doc else None) == kind
+    if (server, method, path) in NO_ROUTE:
+        assert doc["error"]["message"] == f"no route: {path}"
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +374,33 @@ class TestKVService:
         t0 = time.perf_counter()
         httpjson.post_json(kv.endpoint, {"op": "get", "key": "w"})
         assert (time.perf_counter() - t0) * 1000 >= 16
+
+    def test_in_memory_harness_matches_served_store(self, make_kv):
+        ops = [
+            {"op": "get", "key": "k"},
+            {"op": "set", "key": "k", "value": {"n": 1}},
+            {"op": "get", "key": "k"},
+            {"op": "set", "key": "k"},
+            {"op": "bogus", "key": "k"},
+            {"op": "get", "key": 7},
+            {"key": "k"},
+            {"op": "set", "key": "none", "value": None},
+            {"op": "delete", "key": "none"},
+            {"op": "delete", "key": "k"},
+            {"op": "delete", "key": "k"},
+            {"op": "get", "key": "k"},
+        ]
+        kv, harness = make_kv(), LocalHarness()
+
+        def local(doc):
+            try:
+                return 200, harness.transport(harness.env["KV"], doc)
+            except TransportCallError as exc:
+                return exc.status, exc.body
+
+        served = [exchange("POST", kv.endpoint, doc) for doc in ops]
+        assert [local(doc) for doc in ops] == served
+        assert [status for status, _ in served] == [200, 200, 200, 400, 400, 400, 400] + [200] * 5
 
 
 # ---------------------------------------------------------------------------
