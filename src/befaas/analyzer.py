@@ -20,10 +20,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 # ---------------------------------------------------------------------------
 # Spans and call trees
@@ -32,7 +31,8 @@ import numpy as np
 
 @dataclass
 class OutgoingCall:
-    """One call_*/external_* pair recorded by the calling function."""
+    """One call_*/external_* pair recorded by the calling function; a
+    function call links to its callee's span when that was traced."""
 
     call_pair_id: str
     target: str
@@ -40,6 +40,7 @@ class OutgoingCall:
     start_us: int
     end_us: int
     error: bool = False
+    callee: Span | None = field(default=None, repr=False, compare=False)
 
     @property
     def duration_us(self) -> int:
@@ -126,36 +127,31 @@ def assemble(events: Iterable[Mapping]) -> list[CallTree]:
     for event in events:
         by_context.setdefault(event["context_id"], []).append(event)
 
-    trees = [_assemble_context(ctx, evs) for ctx, evs in sorted(by_context.items())]
-    return trees
+    return [_assemble_context(ctx, evs) for ctx, evs in sorted(by_context.items())]
 
 
 def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
     anomalies: list[str] = []
 
+    # One pass drops duplicates and slots each event by its invocation pair
+    # id (invocation_*, cold_start) or by its outgoing call (call_*,
+    # external_*).
     seen: set[tuple] = set()
-    unique: list[Mapping] = []
+    invocations: dict[str, dict] = {}
+    outgoing_slots: dict[tuple[str, str], dict] = {}
     for event in events:
-        key = (
-            event["pair_id"],
-            event.get("call_pair_id"),
-            event["event_kind"],
-            event["ts_us"],
-            event["fn"],
-        )
-        if key in seen:
+        kind = event["event_kind"]
+        ident = (event["pair_id"], event.get("call_pair_id"), kind, event["ts_us"], event["fn"])
+        if ident in seen:
             continue
-        seen.add(key)
-        unique.append(event)
+        seen.add(ident)
+        if kind in ("invocation_start", "invocation_end", "cold_start"):
+            invocations.setdefault(event["pair_id"], {})[kind] = event
+        elif kind in ("call_start", "call_end", "external_start", "external_end"):
+            key = (event["pair_id"], event.get("call_pair_id", ""))
+            outgoing_slots.setdefault(key, {})[kind] = event
 
     # Pair invocation_start/_end into spans, keyed by the invocation pair id.
-    invocations: dict[str, dict] = {}
-    for event in unique:
-        kind = event["event_kind"]
-        if kind in ("invocation_start", "invocation_end", "cold_start"):
-            slot = invocations.setdefault(event["pair_id"], {})
-            slot[kind] = event
-
     spans: dict[str, Span] = {}
     for pair_id, slot in invocations.items():
         start, end = slot.get("invocation_start"), slot.get("invocation_end")
@@ -177,13 +173,6 @@ def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
         )
 
     # Pair call_*/external_* into outgoing records on their spans.
-    outgoing_slots: dict[tuple[str, str], dict] = {}
-    for event in unique:
-        kind = event["event_kind"]
-        if kind in ("call_start", "call_end", "external_start", "external_end"):
-            key = (event["pair_id"], event.get("call_pair_id", ""))
-            outgoing_slots.setdefault(key, {})[kind] = event
-
     for (pair_id, call_pair_id), slot in outgoing_slots.items():
         start = slot.get("call_start") or slot.get("external_start")
         end = slot.get("call_end") or slot.get("external_end")
@@ -205,35 +194,30 @@ def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
                 error=bool(end.get("error")),
             )
         )
-    for span in spans.values():
-        span.outgoing.sort(key=lambda c: c.start_us)
 
     # Link children: a span's pair id was minted by exactly one outgoing
-    # call record of its parent.
-    minted_by: dict[str, Span] = {}
+    # call record of its parent. Visiting spans in start order appends each
+    # parent's children in start order.
+    minted_by: dict[str, tuple[Span, OutgoingCall]] = {}
     for span in spans.values():
+        span.outgoing.sort(key=lambda c: c.start_us)
         for call in span.outgoing:
             if call.kind == "function":
-                minted_by[call.call_pair_id] = span
+                minted_by[call.call_pair_id] = (span, call)
     parentless: list[Span] = []
-    for span in spans.values():
-        parent = minted_by.get(span.pair_id)
-        if parent is not None:
+    for span in sorted(spans.values(), key=lambda s: s.start_us):
+        if span.pair_id in minted_by:
+            parent, call = minted_by[span.pair_id]
             parent.children.append(span)
+            call.callee = span
         else:
             parentless.append(span)
-    for span in spans.values():
-        span.children.sort(key=lambda s: s.start_us)
 
     # The chain root is the earliest parentless span (its token was minted
     # on entry, not by any caller in this context); any other parentless
     # span lost its parent's events.
-    root: Span | None = None
-    orphans: list[tuple[Span, str]] = []
-    if parentless:
-        parentless.sort(key=lambda s: s.start_us)
-        root = parentless[0]
-        orphans = [(s, "no matching parent call event") for s in parentless[1:]]
+    root = parentless[0] if parentless else None
+    orphans = [(s, "no matching parent call event") for s in parentless[1:]]
 
     return CallTree(
         context_id=context_id,
@@ -327,9 +311,7 @@ def decompose(tree: CallTree) -> LatencyBreakdown:
     per_query: list[QuerySample] = []
     flagged = False
 
-    spans = list(tree.root.walk()) if tree.root is not None else []
-    child_by_pair = {span.pair_id: span for span in spans}
-    for span in spans:
+    for span in tree.root.walk() if tree.root is not None else ():
         intervals = [(c.start_us, c.end_us) for c in span.outgoing]
         compute = span.duration_us - _merged_length_us(intervals)
         bad = compute < 0
@@ -340,12 +322,11 @@ def decompose(tree: CallTree) -> LatencyBreakdown:
             if call.kind == "external":
                 per_query.append(QuerySample(span.fn, call.target, call.duration_us))
                 continue
-            callee = child_by_pair.get(call.call_pair_id)
             # Without callee events the whole call duration counts as network.
-            network = call.duration_us - (callee.duration_us if callee else 0)
+            network = call.duration_us - (call.callee.duration_us if call.callee else 0)
             bad = network < 0
             per_call.append(
-                EdgeNetwork(span.fn, call.target, call, callee, max(network, 0), flagged=bad)
+                EdgeNetwork(span.fn, call.target, call, call.callee, max(network, 0), flagged=bad)
             )
             flagged = flagged or bad
 
@@ -505,6 +486,8 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     breakdowns = [decompose(tree) for tree in trees]
+    report = cold_start_report(trees)
+    durations = _durations_by_fn(trees)
 
     functions_csv = os.path.join(out_dir, "functions.csv")
     with open(functions_csv, "w", newline="", encoding="utf-8") as fh:
@@ -567,21 +550,16 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
                 ]
             )
 
-    report = cold_start_report(trees)
     coldstarts_csv = os.path.join(out_dir, "coldstarts.csv")
-    invocations: dict[str, int] = {}
-    for tree in trees:
-        for span in tree.spans:
-            invocations[span.fn] = invocations.get(span.fn, 0) + 1
     with open(coldstarts_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fn", "cold_starts", "invocations"])
-        for fn in sorted(invocations):
-            writer.writerow([fn, report.counts_by_fn.get(fn, 0), invocations[fn]])
+        for fn in sorted(durations):
+            writer.writerow([fn, report.counts_by_fn.get(fn, 0), len(durations[fn])])
 
     summary_txt = os.path.join(out_dir, "summary.txt")
     with open(summary_txt, "w", encoding="utf-8") as fh:
-        fh.write(summarize(trees, breakdowns, report))
+        fh.write(_format_summary(durations, breakdowns, report))
 
     return {
         "functions.csv": functions_csv,
@@ -591,30 +569,32 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
     }
 
 
-def summarize(
-    trees: Sequence[CallTree],
-    breakdowns: Sequence[LatencyBreakdown] | None = None,
-    report: ColdStartReport | None = None,
-) -> str:
+def summarize(trees: Sequence[CallTree]) -> str:
     """Plain-text report: per-function boxplot statistics, the stacked
-    compute/network/query aggregates, and the cold-start tally.
+    compute/network/query aggregates, and the cold-start tally."""
+    breakdowns = [decompose(tree) for tree in trees]
+    return _format_summary(_durations_by_fn(trees), breakdowns, cold_start_report(trees))
 
-    ``breakdowns`` and ``report`` are computed from ``trees`` when not given.
-    """
-    if breakdowns is None:
-        breakdowns = [decompose(tree) for tree in trees]
-    if report is None:
-        report = cold_start_report(trees)
+
+def _durations_by_fn(trees: Sequence[CallTree]) -> dict[str, list[int]]:
+    by_fn: dict[str, list[int]] = {}
+    for tree in trees:
+        for span in tree.spans:
+            by_fn.setdefault(span.fn, []).append(span.duration_us)
+    return by_fn
+
+
+def _format_summary(
+    by_fn: dict[str, list[int]],
+    breakdowns: Sequence[LatencyBreakdown],
+    report: ColdStartReport,
+) -> str:
     lines: list[str] = []
     lines.append("per-function execution duration (us)")
     lines.append(
         f"{'fn':<20}{'n':>7}{'min':>10}{'q1':>10}{'median':>10}"
         f"{'q3':>10}{'max':>10}{'wlow':>10}{'whigh':>10}{'outliers':>9}"
     )
-    by_fn: dict[str, list[int]] = {}
-    for tree in trees:
-        for span in tree.spans:
-            by_fn.setdefault(span.fn, []).append(span.duration_us)
     for fn in sorted(by_fn):
         s = stats(by_fn[fn])
         lines.append(
@@ -633,10 +613,10 @@ def summarize(
             ("network", [b.network_us for b in rooted]),
             ("query", [b.query_us for b in rooted]),
         ):
-            arr = np.asarray(values, dtype=float)
+            total = float(sum(values))
             lines.append(
-                f"{label:<12} total={arr.sum():>14.0f}  median={np.median(arr):>10.0f}"
-                f"  mean={arr.mean():>10.0f}"
+                f"{label:<12} total={total:>14.0f}  median={statistics.median(values):>10.0f}"
+                f"  mean={total / len(values):>10.0f}"
             )
 
     lines.append("")
@@ -646,11 +626,11 @@ def summarize(
     if report.cold_tree_latencies_us:
         lines.append(
             f"cold-affected trees: n={len(report.cold_tree_latencies_us)}"
-            f" median={np.median(report.cold_tree_latencies_us):.0f}us"
+            f" median={statistics.median(report.cold_tree_latencies_us):.0f}us"
         )
     if report.warm_tree_latencies_us:
         lines.append(
             f"warm-only trees:     n={len(report.warm_tree_latencies_us)}"
-            f" median={np.median(report.warm_tree_latencies_us):.0f}us"
+            f" median={statistics.median(report.warm_tree_latencies_us):.0f}us"
         )
     return "\n".join(lines) + "\n"

@@ -297,7 +297,12 @@ class SimPlatform:
 
     def deploy_artifact(self, doc: dict) -> str:
         """Deploy one artifact; the function becomes reachable immediately
-        but no executor exists until the first invocation."""
+        but no executor exists until the first invocation. A missing or
+        mistyped artifact field raises ``ValueError``."""
+        fields = {"fn": str, "app": str, "platform_id": str, "endpoint_map": dict, "env": dict}
+        bad = [f for f, kind in fields.items() if not isinstance(doc.get(f), kind)]
+        if bad:
+            raise ValueError(f"bad artifact fields: {', '.join(bad)}")
         artifact = DeploymentArtifact.from_doc(doc)
         app = registry.get_app(artifact.app)
         handler = app.handlers.get(artifact.fn)
@@ -371,14 +376,16 @@ class SimPlatform:
         - ``POST /fn/<name>``: invoke; the function's response envelope,
           404 ``unreachable`` for an unknown function, 429 ``throttle``.
         - ``POST /admin/deploy``: deploy an artifact document; answers
-          ``{"endpoint": url}``, 409 if the function is already deployed.
+          ``{"endpoint": url}``, 400 for a malformed artifact, 409 if the
+          function is already deployed.
         - ``POST /admin/remove/<name>``: ``{"ok": true}``, 404 if unknown.
         - ``POST /admin/teardown``: remove everything; ``{"ok": true}``.
         - ``GET /admin/logs/<name>``: ``{"lines": [...]}``, 404 if unknown.
         - ``GET /admin/stats``: the document of :meth:`stats`.
         - ``GET /admin/ping``: ``{"platform": platform_id}``.
 
-        Any other request is 404 ``no route: <path>``.
+        Any other request is 404 ``no route: <path>``; a body that is not a
+        JSON object is 400 on every route.
         """
         if method == "POST" and path.startswith("/fn/"):
             return self.handle_invoke(path[len("/fn/"):], doc)
@@ -395,6 +402,8 @@ class SimPlatform:
                 return 200, {"lines": self.fetch_logs(path[len("/admin/logs/"):])}
         except ConfigurationError as exc:
             return 409 if path == "/admin/deploy" else 404, _client_error(str(exc))
+        except ValueError as exc:
+            return 400, _client_error(str(exc))
         if method == "GET" and path == "/admin/stats":
             return 200, self.stats()
         if method == "GET" and path == "/admin/ping":
@@ -467,8 +476,11 @@ class _JSONHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length) if length else b"{}"
         try:
             doc = json.loads(body)
-        except json.JSONDecodeError:
-            doc = {}
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict):
+            self._respond(400, _client_error("request body is not a JSON object"))
+            return
         self._respond(*self.server.route(self.command, self.path, doc))
 
     do_GET = do_POST = _handle
@@ -516,7 +528,9 @@ def apply_kv(store: dict, request: dict) -> tuple[int, dict]:
             return 400, _client_error("set requires a value")
         store[key] = request["value"]
         return 200, {"ok": True}
-    return 200, {"ok": True, "existed": store.pop(key, None) is not None}
+    existed = key in store
+    store.pop(key, None)
+    return 200, {"ok": True, "existed": existed}
 
 
 class KVService:

@@ -1,11 +1,16 @@
 import csv
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import befaas
 from befaas import analyzer
 from befaas.analyzer import (
     CallTree,
@@ -351,8 +356,93 @@ class TestExport:
         for name in a:
             assert open(a[name]).read() == open(b[name]).read()
 
+    def test_report_matches_golden_text(self, tmp_path):
+        # Two cold chains, a warm-only chain and a chain whose middle span
+        # is gone: an orphan, four rooted trees (an even-sized median) and
+        # a cold/warm split.
+        warm = [e for e in add_to_cart_chain("warm") if e["event_kind"] != "cold_start"]
+        orphan = [e for e in add_to_cart_chain("orphan") if e["fn"] != "addcartitem"]
+        events = add_to_cart_chain("c1") + add_to_cart_chain("c2") + warm + orphan
+        paths = analyzer.export(assemble(events), str(tmp_path))
+        got = {name: open(path, newline="").read() for name, path in paths.items()}
+        assert got == GOLDEN_REPORT
+
+    def test_report_runs_without_numpy(self, tmp_path):
+        (tmp_path / "audit.json").write_text("{}")
+        (tmp_path / "events.ndjson").write_text(
+            "".join(json.dumps(e) + "\n" for e in add_to_cart_chain())
+        )
+        script = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from befaas.cli import main\n"
+            f"sys.exit(main(['report', '--bundle', {str(tmp_path)!r}]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(befaas.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "cold starts: 1 across 1 functions" in done.stdout
+
     def test_shape_signature_ignores_ids(self):
         sig1 = assemble(add_to_cart_chain("c1"))[0].shape_signature()
         sig2 = assemble(add_to_cart_chain("c2"))[0].shape_signature()
         assert sig1 == sig2
         assert "frontend" in sig1 and "cartkvstorage[kv,kv]" in sig1
+
+
+def _csv(text):
+    return text.replace("\n", "\r\n")
+
+
+GOLDEN_REPORT = {
+    "functions.csv": _csv(
+        """fn,context_id,pair_id,platform,start_us,end_us,duration_us,cold_start,error
+frontend,c1,p-root,sim,0,100000,100000,1,0
+addcartitem,c1,cp-add,sim,15000,85000,70000,0,0
+cartkvstorage,c1,cp-kvfn,sim,30000,70000,40000,0,0
+frontend,c2,p-root,sim,0,100000,100000,1,0
+addcartitem,c2,cp-add,sim,15000,85000,70000,0,0
+cartkvstorage,c2,cp-kvfn,sim,30000,70000,40000,0,0
+frontend,orphan,p-root,sim,0,100000,100000,1,0
+cartkvstorage,orphan,cp-kvfn,sim,30000,70000,40000,0,0
+frontend,warm,p-root,sim,0,100000,100000,0,0
+addcartitem,warm,cp-add,sim,15000,85000,70000,0,0
+cartkvstorage,warm,cp-kvfn,sim,30000,70000,40000,0,0
+"""
+    ),
+    "breakdown.csv": _csv(
+        """context_id,root_fn,end_to_end_us,compute_us,network_us,query_us,flagged
+c1,frontend,100000,28000,40000,32000,0
+c2,frontend,100000,28000,40000,32000,0
+orphan,frontend,100000,10000,90000,0,0
+warm,frontend,100000,28000,40000,32000,0
+"""
+    ),
+    "coldstarts.csv": _csv(
+        """fn,cold_starts,invocations
+addcartitem,0,3
+cartkvstorage,0,4
+frontend,3,4
+"""
+    ),
+    "summary.txt": """\
+per-function execution duration (us)
+fn                        n       min        q1    median        q3       max      wlow     whigh outliers
+addcartitem               3     70000     70000     70000     70000     70000     70000     70000        0
+cartkvstorage             4     40000     40000     40000     40000     40000     40000     40000        0
+frontend                  4    100000    100000    100000    100000    100000    100000    100000        0
+
+per-tree latency components (us)
+end-to-end   total=        400000  median=    100000  mean=    100000
+compute      total=         94000  median=     28000  mean=     23500
+network      total=        210000  median=     40000  mean=     52500
+query        total=         96000  median=     32000  mean=     24000
+
+cold starts: 3 across 1 functions
+  frontend                 3
+cold-affected trees: n=3 median=100000us
+warm-only trees:     n=1 median=100000us
+""",
+}

@@ -190,6 +190,14 @@ ROUTES = [
     ("kv", "POST", "/kv", {"op": "set", "key": "k"}, 400, "client"),
     ("kv", "POST", "/nope", {}, 404, "client"),
     ("kv", "GET", "/kv", None, 404, "client"),
+    # Malformed bodies; appended last so the ids of the rows above stay put.
+    ("platform", "POST", "/admin/deploy", {"fn": "x"}, 400, "client"),
+    ("platform", "POST", "/admin/deploy", {"fn": ["x"], "app": "unittest-app",
+                                           "platform_id": "p", "endpoint_map": {}, "env": {}},
+     400, "client"),
+    ("platform", "POST", "/admin/deploy", [1, 2], 400, "client"),
+    ("platform", "POST", "/fn/sleepy", [1, 2], 400, "client"),
+    ("kv", "POST", "/kv", [1, 2], 400, "client"),
 ]
 NO_ROUTE = {("platform", "GET", "/fn/x"), ("platform", "POST", "/nope"),
             ("platform", "GET", "/nope"), ("kv", "POST", "/nope"), ("kv", "GET", "/kv")}
@@ -360,6 +368,9 @@ class TestKVService:
         httpjson.post_json(kv.endpoint, {"op": "set", "key": "k", "value": 1})
         assert httpjson.post_json(kv.endpoint, {"op": "delete", "key": "k"})["existed"]
         assert not httpjson.post_json(kv.endpoint, {"op": "get", "key": "k"})["found"]
+        httpjson.post_json(kv.endpoint, {"op": "set", "key": "n", "value": None})
+        assert httpjson.post_json(kv.endpoint, {"op": "get", "key": "n"})["found"]
+        assert httpjson.post_json(kv.endpoint, {"op": "delete", "key": "n"})["existed"]
 
     def test_set_without_value_rejected(self, make_kv):
         kv = make_kv()
