@@ -404,8 +404,6 @@ def run_profile(
     workflows: tuple[WorkflowSpec, ...],
     frontend_endpoint: str,
     seed: int = 0,
-    arrival_mode: str = "deterministic",
-    timeout_s: float = httpjson.DEFAULT_TIMEOUT_S,
 ) -> LoadRunResult:
     """Drive the frontend with a full profile, open loop.
 
@@ -415,7 +413,7 @@ def run_profile(
     derived from (seed, arrival index), so a fixed seed reproduces the
     exact same session sequence.
     """
-    arrivals = generate_arrivals(profile, seed=seed, mode=arrival_mode)
+    arrivals = generate_arrivals(profile, seed=seed)
     sequence = draw_workflow_sequence(workflows, len(arrivals), seed)
 
     records: list[ClientRecord] = []
@@ -425,9 +423,7 @@ def run_profile(
 
     def launch(index: int, spec: WorkflowSpec) -> None:
         rng = random.Random(f"{seed}:workflow:{index}")
-        result = execute_workflow(
-            spec, frontend_endpoint, rng, arrival_index=index, timeout_s=timeout_s
-        )
+        result = execute_workflow(spec, frontend_endpoint, rng, arrival_index=index)
         with records_lock:
             records.extend(result)
 

@@ -45,7 +45,6 @@ class ExperimentPlan:
     profile: object | None = None  # name or inline doc; overrides the config
     seed: int | None = None
     config_bytes: bytes | None = None
-    arrival_mode: str = "deterministic"
 
     @classmethod
     def from_file(
@@ -219,13 +218,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
         # Phases 3 and 4: initialize the load generator and run the profile.
         frontend_endpoint = artifacts[0].endpoint_map[app.entrypoint]
         audit.add("load", "start_profile", profile.name, detail=frontend_endpoint)
-        load_result = loadgen.run_profile(
-            profile,
-            workflows,
-            frontend_endpoint,
-            seed=seed,
-            arrival_mode=plan.arrival_mode,
-        )
+        load_result = loadgen.run_profile(profile, workflows, frontend_endpoint, seed=seed)
         audit.add("load", "finish_profile", profile.name, detail=f"{load_result.scheduled} workflows")
 
         # Phase 5: collect logs from every platform.

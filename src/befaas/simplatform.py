@@ -50,19 +50,12 @@ class DelaySpec:
             return cls(constant_ms=float(value))
         if isinstance(value, dict) and value.get("dist") == "lognormal":
             return cls(mu=float(value["mu"]), sigma=float(value["sigma"]))
-        if isinstance(value, DelaySpec):
-            return value
         raise ValueError(f"unrecognized delay spec: {value!r}")
 
     def sample(self, rng: random.Random) -> float:
         if self.constant_ms is not None:
             return self.constant_ms
         return rng.lognormvariate(self.mu, self.sigma)
-
-    def to_doc(self):
-        if self.constant_ms is not None:
-            return self.constant_ms
-        return {"dist": "lognormal", "mu": self.mu, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -260,10 +253,9 @@ class SimPlatform:
         self.profile = profile
         self._host = host
         self._port = port
+        # The host of each function's latest deployment, kept after removal
+        # so its logs and counters stay readable until the next deploy.
         self.deployments: dict[str, FunctionHost] = {}
-        self.retained_lines: dict[str, list[str]] = {}
-        self.creation_counts: dict[str, int] = {}
-        self.invocation_counts: dict[str, int] = {}
         self._admin_lock = threading.Lock()
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
@@ -298,71 +290,64 @@ class SimPlatform:
     def deploy_artifact(self, doc: dict) -> str:
         """Deploy one artifact; the function becomes reachable immediately
         but no executor exists until the first invocation. A missing or
-        mistyped artifact field raises ``ValueError``."""
+        mistyped artifact field, or an unknown app or function, raises
+        ``ValueError``; a function already deployed and not removed raises
+        ``ConfigurationError``."""
         fields = {"fn": str, "app": str, "platform_id": str, "endpoint_map": dict, "env": dict}
         bad = [f for f, kind in fields.items() if not isinstance(doc.get(f), kind)]
         if bad:
             raise ValueError(f"bad artifact fields: {', '.join(bad)}")
         artifact = DeploymentArtifact.from_doc(doc)
-        app = registry.get_app(artifact.app)
-        handler = app.handlers.get(artifact.fn)
+        try:
+            handler = registry.get_app(artifact.app).handlers.get(artifact.fn)
+        except ConfigurationError as exc:
+            raise ValueError(str(exc)) from None
         if handler is None:
-            raise ConfigurationError(f"app {artifact.app!r} has no function {artifact.fn!r}")
+            raise ValueError(f"app {artifact.app!r} has no function {artifact.fn!r}")
         with self._admin_lock:
-            if artifact.fn in self.deployments:
+            if self._live_host(artifact.fn) is not None:
                 raise ConfigurationError(f"already deployed: {artifact.fn}")
             self.deployments[artifact.fn] = FunctionHost(artifact, handler, self.profile)
-            self.creation_counts.setdefault(artifact.fn, 0)
         return function_endpoint(self.base_url, artifact.fn)
 
+    def _live_host(self, fn: str) -> FunctionHost | None:
+        host = self.deployments.get(fn)
+        return None if host is None or host.removed else host
+
     def fetch_logs(self, fn: str) -> list[str]:
-        """All captured lines for ``fn``, in emission order per executor.
-        Lines survive function removal until platform teardown."""
-        with self._admin_lock:
-            retained = self.retained_lines.get(fn)
-            host = self.deployments.get(fn)
-            if retained is None and host is None:
-                raise ConfigurationError(f"unknown function: {fn}")
-            lines = list(retained or [])
-            if host is not None:
-                lines.extend(host.lines)
-            return lines
+        """The captured lines of ``fn``'s latest deployment, in emission
+        order per executor; still readable after removal."""
+        host = self.deployments.get(fn)
+        if host is None:
+            raise ConfigurationError(f"unknown function: {fn}")
+        return list(host.lines)
 
     def remove_function(self, fn: str) -> None:
         with self._admin_lock:
-            host = self.deployments.pop(fn, None)
+            host = self._live_host(fn)
             if host is None:
                 raise ConfigurationError(f"unknown function: {fn}")
-            self.retained_lines.setdefault(fn, []).extend(host.lines)
-            self.creation_counts[fn] = self.creation_counts.get(fn, 0) + host.created
-            self.invocation_counts[fn] = self.invocation_counts.get(fn, 0) + host.invocations
-        host.mark_removed()
+            host.mark_removed()
 
     def teardown(self) -> None:
-        """Remove everything and drop retained logs. Idempotent."""
+        """Remove every deployed function. Idempotent."""
         with self._admin_lock:
-            hosts = list(self.deployments.values())
-            self.deployments.clear()
-            self.retained_lines.clear()
-        for host in hosts:
-            host.mark_removed()
+            for host in self.deployments.values():
+                host.mark_removed()
 
     def stats(self) -> dict:
         with self._admin_lock:
-            functions: dict[str, dict] = {}
-            names = set(self.deployments) | set(self.creation_counts)
-            for fn in sorted(names):
-                host = self.deployments.get(fn)
-                functions[fn] = {
-                    "executors_created": self.creation_counts.get(fn, 0)
-                    + (host.created if host else 0),
-                    "live_executors": host.live_executors() if host else 0,
-                    "invocations": self.invocation_counts.get(fn, 0)
-                    + (host.invocations if host else 0),
+            functions = {
+                fn: {
+                    "executors_created": host.created,
+                    "live_executors": host.live_executors(),
+                    "invocations": host.invocations,
                 }
+                for fn, host in sorted(self.deployments.items())
+            }
             return {
                 "platform": self.platform_id,
-                "deployment_count": len(self.deployments),
+                "deployment_count": sum(not host.removed for host in self.deployments.values()),
                 "functions": functions,
             }
 
@@ -376,11 +361,16 @@ class SimPlatform:
         - ``POST /fn/<name>``: invoke; the function's response envelope,
           404 ``unreachable`` for an unknown function, 429 ``throttle``.
         - ``POST /admin/deploy``: deploy an artifact document; answers
-          ``{"endpoint": url}``, 400 for a malformed artifact, 409 if the
-          function is already deployed.
-        - ``POST /admin/remove/<name>``: ``{"ok": true}``, 404 if unknown.
-        - ``POST /admin/teardown``: remove everything; ``{"ok": true}``.
-        - ``GET /admin/logs/<name>``: ``{"lines": [...]}``, 404 if unknown.
+          ``{"endpoint": url}``, 400 for a malformed artifact or one that
+          names an unknown app or function, 409 if the function is already
+          deployed.
+        - ``POST /admin/remove/<name>``: ``{"ok": true}``, 404 if unknown
+          or already removed.
+        - ``POST /admin/teardown``: remove every deployed function;
+          ``{"ok": true}``.
+        - ``GET /admin/logs/<name>``: ``{"lines": [...]}`` of the function's
+          latest deployment, which stay readable after remove and teardown
+          until the function is deployed again; 404 if never deployed.
         - ``GET /admin/stats``: the document of :meth:`stats`.
         - ``GET /admin/ping``: ``{"platform": platform_id}``.
 
@@ -413,7 +403,7 @@ class SimPlatform:
     # -- invocation ------------------------------------------------------------
 
     def handle_invoke(self, fn: str, request: dict) -> tuple[int, dict]:
-        host = self.deployments.get(fn)
+        host = self._live_host(fn)
         if host is None:
             return 404, {"error": {"message": f"no such function: {fn}", "kind": "unreachable"}}
 

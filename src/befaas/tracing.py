@@ -63,15 +63,14 @@ _id_lock = threading.Lock()
 _id_rng = random.Random()
 
 
-def new_id(rng: random.Random | None = None) -> str:
+def new_id() -> str:
     """Return a fresh 128-bit identifier as 32 lowercase hex characters.
 
     Draws are independent; collisions are negligible without coordination
     (birthday bound ~1.5e-27 for a million draws).
     """
-    source = rng if rng is not None else _id_rng
     with _id_lock:
-        value = source.getrandbits(128)
+        value = _id_rng.getrandbits(128)
     return f"{value:032x}"
 
 
@@ -337,7 +336,6 @@ def wrap_handler(fn_name: str, business_logic: Callable[[Any, CallContext], Any]
         ctx._event("invocation_end")
         return {ENVELOPE_KEY: {"ctx": context_id}, "payload": result}
 
-    handler.fn_name = fn_name  # type: ignore[attr-defined]
     return handler
 
 

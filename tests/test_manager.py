@@ -92,6 +92,21 @@ def test_attached_platform_is_not_stopped_and_reports_zero_deployments(tmp_path,
     assert AdminClient(platform.base_url).ping() == "external-a"
 
 
+def test_second_run_on_attached_platform_holds_only_its_own_contexts(tmp_path, make_platform):
+    platform = make_platform(platform_id="external-a", profile=FAST_PROFILE)
+    config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}},
+                         load_profile={"phases": [{"duration_s": 1, "rate_start": 2,
+                                                   "rate_end": 2}]})
+    contexts = []
+    for run in ("first", "second"):
+        bundle = run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / run)))
+        assert bundle.client_records
+        assert {e["context_id"] for e in bundle.events} == {
+            r["context_id"] for r in bundle.client_records}
+        contexts.append({e["context_id"] for e in bundle.events})
+    assert contexts[0].isdisjoint(contexts[1])
+
+
 def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
     platform = make_platform(platform_id="external-a", profile=FAST_PROFILE)
     config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}})

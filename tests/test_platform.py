@@ -141,6 +141,32 @@ class TestAdminSurface:
         platform.remove_function("sleepy")
         assert platform.fetch_logs("sleepy") == before
 
+    def test_teardown_keeps_logs_and_counters(self, make_platform):
+        platform = make_platform()
+        platform.deploy_artifact(artifact_for("sleepy", platform))
+        invoke(platform, "sleepy")
+        before = platform.fetch_logs("sleepy")
+        platform.teardown()
+        counts = platform.stats()["functions"]["sleepy"]
+        assert (counts["executors_created"], counts["invocations"]) == (1, 1)
+        assert platform.fetch_logs("sleepy") == before != []
+
+    def test_redeploy_starts_a_fresh_record(self, make_platform):
+        platform = make_platform()
+        platform.deploy_artifact(artifact_for("sleepy", platform))
+        invoke(platform, "sleepy")
+        invoke(platform, "sleepy")
+        first = set(platform.fetch_logs("sleepy"))
+        platform.remove_function("sleepy")
+        platform.deploy_artifact(artifact_for("sleepy", platform))
+        invoke(platform, "sleepy")
+        second = platform.fetch_logs("sleepy")
+        assert second and first.isdisjoint(second)
+        assert {e["event_kind"] for e in platform_events(platform, "sleepy")} == {
+            "invocation_start", "cold_start", "invocation_end"}
+        counts = platform.stats()["functions"]["sleepy"]
+        assert (counts["executors_created"], counts["invocations"]) == (1, 1)
+
     def test_remove_all_reports_zero_deployments(self, make_platform):
         platform = make_platform()
         for fn in TEST_APP.function_names:
@@ -198,6 +224,12 @@ ROUTES = [
     ("platform", "POST", "/admin/deploy", [1, 2], 400, "client"),
     ("platform", "POST", "/fn/sleepy", [1, 2], 400, "client"),
     ("kv", "POST", "/kv", [1, 2], 400, "client"),
+    # Well-formed artifacts naming an unknown app, or a function the app lacks.
+    ("platform", "POST", "/admin/deploy", {"fn": "x", "app": "nope", "platform_id": "p",
+                                           "endpoint_map": {}, "env": {}}, 400, "client"),
+    ("platform", "POST", "/admin/deploy", {"fn": "nofn", "app": "unittest-app",
+                                           "platform_id": "p", "endpoint_map": {}, "env": {}},
+     400, "client"),
 ]
 NO_ROUTE = {("platform", "GET", "/fn/x"), ("platform", "POST", "/nope"),
             ("platform", "GET", "/nope"), ("kv", "POST", "/nope"), ("kv", "GET", "/kv")}
