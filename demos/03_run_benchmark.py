@@ -1,9 +1,9 @@
 """Run a complete benchmark experiment.
 
-One call does everything: provision a simulated platform and the managed
-key-value service, compile and deploy all 17 functions, drive the load
-profile, collect the logs, write the results bundle, and tear the whole
-deployment down again. The same flow is available on the command line:
+One call does everything: check the config, provision the managed
+key-value service and a simulated platform, compile and deploy all 17
+functions, drive the load profile, collect the logs, tear the whole
+deployment down again, and write the results bundle. The same flow is available on the command line:
 
     befaas run --config config.json --out bundle/
     befaas analyze --bundle bundle/ --out analysis/

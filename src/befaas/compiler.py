@@ -20,8 +20,8 @@ from .errors import ValidationFailure
 FUNCTION_PATH = "/fn/{name}"
 
 #: Default deterministic ports for managed platforms that omit one, so that
-#: standalone compilation stays pure. At run time the manager substitutes
-#: the port the platform actually bound.
+#: standalone compilation stays pure. At run time the manager compiles each
+#: started platform as an attached one, at the address it actually bound.
 DEFAULT_PORT_BASE = 7100
 
 

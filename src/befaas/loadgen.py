@@ -89,13 +89,14 @@ def profile_integral(profile: LoadProfile, t_s: float) -> float:
 
 
 def _invert_phase(phase: Phase, target: float) -> float:
-    """Local time at which this phase's running integral reaches ``target``."""
+    """Local time at which this phase's running integral reaches ``target`` > 0.
+
+    The root of 0.5*slope*t^2 + rate_start*t = target in range, in the form
+    that also holds for a flat phase (slope 0).
+    """
     slope = (phase.rate_end - phase.rate_start) / phase.duration_s
-    if abs(slope) < 1e-12:
-        return target / phase.rate_start
-    # Solve 0.5*slope*t^2 + rate_start*t = target for the root in range.
     disc = phase.rate_start**2 + 2.0 * slope * target
-    return (-phase.rate_start + math.sqrt(max(disc, 0.0))) / slope
+    return 2.0 * target / (phase.rate_start + math.sqrt(max(disc, 0.0)))
 
 
 def generate_arrivals(
@@ -112,19 +113,19 @@ def generate_arrivals(
     if mode != "deterministic":
         raise ValueError(f"unknown arrival mode: {mode!r}")
 
+    # k counts over the whole profile, so an arrival that one phase places
+    # at its end (within the tolerance) is not placed again by the next;
+    # a phase with no rate adds nothing to the total and places none.
     arrivals: list[float] = []
     offset = 0.0
     cumulative = 0.0
+    k = 1
     for phase in profile.phases:
         phase_total = phase.integral(phase.duration_s)
-        k = math.floor(cumulative) + 1
         while k <= cumulative + phase_total + 1e-9:
             local = _invert_phase(phase, k - cumulative)
-            if local <= phase.duration_s + 1e-9:
-                arrivals.append(offset + min(local, phase.duration_s))
-                k += 1
-            else:
-                break
+            arrivals.append(offset + min(local, phase.duration_s))
+            k += 1
         cumulative += phase_total
         offset += phase.duration_s
     return arrivals
@@ -189,6 +190,14 @@ def profile_from_config(value) -> LoadProfile:
 # ---------------------------------------------------------------------------
 
 
+#: The frontend actions a workflow step may name; :func:`build_action`
+#: builds the request payload of each.
+ACTIONS = frozenset({
+    "home", "viewProduct", "search", "setCurrency", "addToCart", "viewCart", "emptyCart",
+    "checkout", "viewOrderConfirmation",
+})
+
+
 @dataclass(frozen=True)
 class WorkflowSpec:
     """A named customer session: ordered frontend actions, zero think time."""
@@ -202,6 +211,9 @@ class WorkflowSpec:
             raise ValueError("workflows must issue between 1 and 9 requests")
         if self.weight <= 0:
             raise ValueError("weight must be > 0")
+        unknown = [step for step in self.steps if step not in ACTIONS]
+        if unknown:
+            raise ValueError(f"unknown workflow steps: {unknown}")
 
 
 #: Four shipped customer sessions spanning the 1-9 request range.

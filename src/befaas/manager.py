@@ -1,10 +1,14 @@
 """End-to-end experiment orchestration.
 
-One experiment runs through fixed phases: provision platforms and managed
-external services, compile and deploy every artifact, drive the load
-profile, collect logs from every platform, write the joint results bundle,
-and tear everything down. Teardown always runs, also when a phase fails
-mid-way, and running it twice is safe.
+One experiment runs through fixed phases: check the whole config,
+provision managed external services and platforms, compile and deploy
+every artifact, drive the load profile, collect logs from every platform,
+undo every provisioning step, and write the joint results bundle. A bad
+config fails the check before anything is started. Each provisioning step
+records how to undo itself on one stack, which is unwound newest first
+also when a phase fails mid-way; the bundle is written once, after the
+undo, so its audit trail is complete and a failed write leaves nothing
+running.
 
 The results bundle is a directory, not an archive, so the NDJSON files
 stream straight into analysis:
@@ -17,13 +21,15 @@ stream straight into analysis:
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import loadgen, registry
 from .clock import now_us
-from .compiler import DeploymentArtifact, compile_deployment
+from .compiler import Application, compile_deployment, validate
 from .errors import (
     BefaasError,
     RuntimeFailure,
@@ -32,7 +38,7 @@ from .errors import (
     ValidationFailure,
 )
 from .loadgen import LoadRunResult, WorkflowSpec
-from .simplatform import AdminClient, KVService, SimPlatform, profile_from_config
+from .simplatform import AdminClient, KVService, PlatformProfile, SimPlatform, profile_from_config
 from .tracing import parse_event_line
 
 
@@ -126,15 +132,21 @@ class ResultsBundle:
             incomplete=bool(audit.get("incomplete")),
         )
 
-
-@dataclass
-class _Provisioned:
-    """Everything the experiment stands up and must destroy again."""
-
-    clients: dict[str, AdminClient] = field(default_factory=dict)
-    local_platforms: dict[str, SimPlatform] = field(default_factory=dict)
-    services: dict[str, KVService] = field(default_factory=dict)
-    deployed: dict[str, list[str]] = field(default_factory=dict)  # platform -> fns
+    def write(self, config_bytes: bytes) -> None:
+        """Write the five bundle files into ``out_dir``."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        with open(os.path.join(self.out_dir, "config.json"), "wb") as fh:
+            fh.write(config_bytes)
+        for name, docs in (("client_records.ndjson", self.client_records),
+                           ("events.ndjson", self.events)):
+            with open(os.path.join(self.out_dir, name), "w", encoding="utf-8") as fh:
+                for doc in docs:
+                    fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        with open(os.path.join(self.out_dir, "rejects.log"), "w", encoding="utf-8") as fh:
+            for line in self.rejects:
+                fh.write(line + "\n")
+        with open(os.path.join(self.out_dir, "audit.json"), "w", encoding="utf-8") as fh:
+            json.dump(self.audit, fh, indent=2)
 
 
 class _Audit:
@@ -153,105 +165,149 @@ class _Audit:
 def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     """Execute one experiment end to end and write its results bundle.
 
-    Raises ValidationFailure before anything is provisioned,
-    RuntimeFailure when a phase failed (bundle and teardown still done),
-    and TeardownIncomplete when resources could not be destroyed.
+    Phases: check, provision, deploy, run, collect, undo, bundle. Raises
+    ValidationFailure before anything is provisioned, RuntimeFailure when
+    a later phase failed (undo and bundle still done), and
+    TeardownIncomplete when resources could not be destroyed.
     """
     config = plan.config
-    app = registry.get_app(config.get("app", "webshop"))
-    profile = plan.resolved_profile()
-    workflows = plan.resolved_workflows()
+    app, profile, workflows, platform_profiles = _check(plan)
     seed = plan.resolved_seed
 
     audit = _Audit()
-    resources = _Provisioned()
+    undo: list[tuple[str, str, Callable[[], object]]] = []  # (action, target, step)
+    clients: dict[str, AdminClient] = {}
+    deployed: dict[str, list[str]] = {}  # platform -> fns
     run_error: BefaasError | None = None
-    load_result: LoadRunResult | None = None
+    load_result = LoadRunResult(records=[], workflow_sequence=[], launch_lags_ms=[], scheduled=0)
     events: list[dict] = []
     rejects: list[str] = []
     incomplete = False
     started_us = now_us()
 
     try:
-        # Phase 1: provision platforms and managed external services.
-        resolved = json.loads(json.dumps(config))  # deep copy
-        for index, (pid, entry) in enumerate(config.get("platforms", {}).items()):
-            if "admin_endpoint" in entry:
-                client = AdminClient(entry["admin_endpoint"])
-                client.ping()
-                audit.add("provision", "attach_platform", pid)
-            else:
-                platform = SimPlatform(
-                    pid,
-                    profile_from_config(entry["profile"]),
-                    port=int(entry.get("port", 0)),
-                    seed=seed + index,
-                )
-                platform.start()
-                resources.local_platforms[pid] = platform
-                client = AdminClient(platform.base_url)
-                resolved["platforms"][pid] = dict(entry, port=platform._port)
-                audit.add("provision", "start_platform", pid, detail=platform.base_url)
-            resources.clients[pid] = client
-
-        for service, value in (config.get("external_services") or {}).items():
+        # Provision managed external services, then platforms; a started
+        # platform enters the resolved config as an attached one.
+        resolved = dict(config, platforms=dict(config["platforms"]),
+                        external_services=dict(config.get("external_services") or {}))
+        for service, value in resolved["external_services"].items():
             managed = value == "managed" or (isinstance(value, dict) and value.get("managed"))
             if managed:
                 delay = float(value.get("query_delay_ms", 0)) if isinstance(value, dict) else 0.0
                 kv = KVService(query_delay_ms=delay)
                 endpoint = kv.start()
-                resources.services[service] = kv
+                undo.append(("stop_service", service, kv.stop))
                 resolved["external_services"][service] = endpoint
                 audit.add("provision", "start_service", service, detail=endpoint)
             else:
                 audit.add("provision", "link_service", service)
 
-        # Phase 2: compile and deploy.
+        for index, (pid, entry) in enumerate(config["platforms"].items()):
+            if "admin_endpoint" in entry:
+                client = AdminClient(entry["admin_endpoint"])
+                client.ping()
+                audit.add("provision", "attach_platform", pid)
+            else:
+                platform = SimPlatform(pid, platform_profiles[pid],
+                                       port=int(entry.get("port", 0)), seed=seed + index)
+                platform.start()
+                undo.append(("stop_platform", pid, platform.stop))
+                client = AdminClient(platform.base_url)
+                resolved["platforms"][pid] = {"admin_endpoint": platform.base_url}
+                audit.add("provision", "start_platform", pid, detail=platform.base_url)
+            clients[pid] = client
+
+        # Compile and deploy.
         artifacts = compile_deployment(app, resolved)
         audit.add("compile", "compile", detail=f"{len(artifacts)} artifacts")
         for artifact in artifacts:
-            client = resources.clients[artifact.platform_id]
-            endpoint = client.deploy(artifact.to_doc())
-            resources.deployed.setdefault(artifact.platform_id, []).append(artifact.fn)
-            audit.add("deploy", "deploy_function", artifact.fn, detail=endpoint)
+            pid, fn = artifact.platform_id, artifact.fn
+            endpoint = clients[pid].deploy(artifact.to_doc())
+            undo.append(("remove_function", f"{pid}/{fn}", functools.partial(clients[pid].remove, fn)))
+            deployed.setdefault(pid, []).append(fn)
+            audit.add("deploy", "deploy_function", fn, detail=endpoint)
 
-        # Phases 3 and 4: initialize the load generator and run the profile.
+        # Run the load profile against the frontend.
         frontend_endpoint = artifacts[0].endpoint_map[app.entrypoint]
         audit.add("load", "start_profile", profile.name, detail=frontend_endpoint)
         load_result = loadgen.run_profile(profile, workflows, frontend_endpoint, seed=seed)
         audit.add("load", "finish_profile", profile.name, detail=f"{load_result.scheduled} workflows")
 
-        # Phase 5: collect logs from every platform.
-        events, rejects, collect_errors = collect_logs(resources.clients, resources.deployed)
+        # Collect logs from every platform.
+        events, rejects, collect_errors = collect_logs(clients, deployed)
         for pid, message in collect_errors.items():
             incomplete = True
             audit.add("collect", "fetch_logs", pid, status="error", detail=message)
         audit.add("collect", "collected", detail=f"{len(events)} events, {len(rejects)} rejects")
 
-    except ValidationFailure:
-        _teardown(resources, audit)
-        raise
-    except BefaasError as exc:
-        run_error = exc
-        audit.add("run", "failed", status="error", detail=str(exc))
     except Exception as exc:  # noqa: BLE001 - orchestration boundary
-        run_error = RuntimeFailure(f"{type(exc).__name__}: {exc}")
         audit.add("run", "failed", status="error", detail=str(exc))
+        run_error = exc if isinstance(exc, BefaasError) else RuntimeFailure(
+            f"{type(exc).__name__}: {exc}")
+    finally:  # an interrupt, too, leaves nothing deployed
+        leftovers = _teardown(undo, audit)
 
-    # Phase 6: write the bundle (also on failure, with what was captured).
-    bundle = _write_bundle(
-        plan, started_us, seed, profile, load_result, events, rejects, audit,
-        incomplete=incomplete or run_error is not None,
+    # Write the bundle once, after the undo, so that its trail is complete
+    # (also on failure, with what was captured).
+    incomplete = incomplete or run_error is not None
+    bundle = ResultsBundle(
+        out_dir=plan.out_dir,
+        client_records=[r.to_doc() for r in load_result.records],
+        events=events,
+        rejects=rejects,
+        audit={
+            "started_us": started_us,
+            "finished_us": now_us(),
+            "seed": seed,
+            "profile": profile.name,
+            "scheduled_workflows": load_result.scheduled,
+            "launch_lags_ms": load_result.launch_lags_ms,
+            "workflow_sequence": load_result.workflow_sequence,
+            "incomplete": incomplete,
+            "trail": audit.entries,
+        },
+        incomplete=incomplete,
     )
-
-    # Phase 7: destroy all provisioned resources.
-    leftovers = _teardown(resources, audit)
-    _rewrite_audit(bundle, audit)
+    bundle.write(plan.snapshot_bytes())
     if leftovers:
         raise TeardownIncomplete(f"{len(leftovers)} resources left: {leftovers}", leftovers)
     if run_error is not None:
         raise RuntimeFailure(str(run_error), bundle_dir=bundle.out_dir) from run_error
     return bundle
+
+
+def _check(
+    plan: ExperimentPlan,
+) -> tuple[Application, loadgen.LoadProfile, tuple[WorkflowSpec, ...], dict[str, PlatformProfile]]:
+    """Resolve the app, the load profile, the workflows and the profile of
+    every managed platform; raise one ValidationFailure listing every
+    problem, so that a bad config never reaches provisioning."""
+    config = plan.config
+    violations: list[str] = []
+
+    def resolve(what: str, make: Callable[[], object]):
+        try:
+            return make()
+        except ValidationFailure as exc:
+            violations.extend(exc.violations)
+        except (BefaasError, LookupError, TypeError, ValueError) as exc:
+            violations.append(f"{what}: {exc}")
+        return None
+
+    app = resolve("app", lambda: registry.get_app(config.get("app", "webshop")))
+    if app is not None:
+        violations += validate(app.function_names, config)
+    profile = resolve("load profile", plan.resolved_profile)
+    workflows = resolve("workflows", plan.resolved_workflows)
+    platforms = config.get("platforms")
+    platform_profiles = {
+        pid: resolve(f"platform {pid}", lambda entry=entry: profile_from_config(entry["profile"]))
+        for pid, entry in (platforms.items() if isinstance(platforms, dict) else ())
+        if isinstance(entry, dict) and "profile" in entry and "admin_endpoint" not in entry
+    }
+    if violations:
+        raise ValidationFailure(violations)
+    return app, profile, workflows, platform_profiles
 
 
 def collect_logs(
@@ -287,110 +343,23 @@ def collect_logs(
     return events, rejects, errors
 
 
-def _write_bundle(
-    plan: ExperimentPlan,
-    started_us: int,
-    seed: int,
-    profile: loadgen.LoadProfile,
-    load_result: LoadRunResult | None,
-    events: list[dict],
-    rejects: list[str],
-    audit: _Audit,
-    incomplete: bool,
-) -> ResultsBundle:
-    out_dir = plan.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+def _teardown(undo: list[tuple[str, str, Callable[[], object]]], audit: _Audit) -> list[str]:
+    """Undo the provisioning steps newest first; return what is left.
 
-    with open(os.path.join(out_dir, "config.json"), "wb") as fh:
-        fh.write(plan.snapshot_bytes())
-
-    records = [r.to_doc() for r in load_result.records] if load_result else []
-    with open(os.path.join(out_dir, "client_records.ndjson"), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-    with open(os.path.join(out_dir, "events.ndjson"), "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-
-    with open(os.path.join(out_dir, "rejects.log"), "w", encoding="utf-8") as fh:
-        for line in rejects:
-            fh.write(line + "\n")
-
-    audit_doc = {
-        "started_us": started_us,
-        "finished_us": now_us(),
-        "seed": seed,
-        "profile": profile.name,
-        "scheduled_workflows": load_result.scheduled if load_result else 0,
-        "launch_lags_ms": load_result.launch_lags_ms if load_result else [],
-        "workflow_sequence": load_result.workflow_sequence if load_result else [],
-        "incomplete": incomplete,
-        "trail": audit.entries,
-    }
-    with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as fh:
-        json.dump(audit_doc, fh, indent=2)
-
-    return ResultsBundle(
-        out_dir=out_dir,
-        client_records=records,
-        events=events,
-        rejects=rejects,
-        audit=audit_doc,
-        incomplete=incomplete,
-    )
-
-
-def _rewrite_audit(bundle: ResultsBundle, audit: _Audit) -> None:
-    """Refresh the audit file after teardown so the trail is complete."""
-    bundle.audit["trail"] = audit.entries
-    bundle.audit["finished_us"] = now_us()
-    with open(os.path.join(bundle.out_dir, "audit.json"), "w", encoding="utf-8") as fh:
-        json.dump(bundle.audit, fh, indent=2)
-
-
-def _teardown(resources: _Provisioned, audit: _Audit) -> list[str]:
-    """Remove every deployment and stop everything we started. Idempotent."""
+    An admin error other than a transport failure means the target is
+    already gone, which counts as undone. Popping makes a second call a
+    no-op.
+    """
     leftovers: list[str] = []
-
-    for pid, fns in list(resources.deployed.items()):
-        client = resources.clients.get(pid)
-        remaining: list[str] = []
-        for fn in fns:
-            try:
-                client.remove(fn)
-                audit.add("teardown", "remove_function", f"{pid}/{fn}")
-            except TransportError as exc:
-                remaining.append(fn)
-                leftovers.append(f"{pid}/{fn}")
-                audit.add("teardown", "remove_function", f"{pid}/{fn}", "error", str(exc))
-            except BefaasError:
-                # Already gone (e.g. second teardown) counts as removed.
-                audit.add("teardown", "remove_function", f"{pid}/{fn}", "ok", "already absent")
-        if remaining:
-            resources.deployed[pid] = remaining
-        else:
-            resources.deployed.pop(pid, None)
-
-    for pid, platform in list(resources.local_platforms.items()):
+    while undo:
+        action, target, step = undo.pop()
         try:
-            platform.teardown()
-            platform.stop()
-            audit.add("teardown", "stop_platform", pid)
-        except Exception as exc:  # noqa: BLE001
-            leftovers.append(f"platform:{pid}")
-            audit.add("teardown", "stop_platform", pid, "error", str(exc))
-        else:
-            resources.local_platforms.pop(pid, None)
-
-    for name, service in list(resources.services.items()):
-        try:
-            service.stop()
-            audit.add("teardown", "stop_service", name)
-        except Exception as exc:  # noqa: BLE001
-            leftovers.append(f"service:{name}")
-            audit.add("teardown", "stop_service", name, "error", str(exc))
-        else:
-            resources.services.pop(name, None)
-
+            step()
+            audit.add("teardown", action, target)
+        except Exception as exc:  # noqa: BLE001 - every step gets its turn
+            if isinstance(exc, BefaasError) and not isinstance(exc, TransportError):
+                audit.add("teardown", action, target, detail="already absent")
+            else:
+                leftovers.append(f"{action} {target}")
+                audit.add("teardown", action, target, "error", str(exc))
     return leftovers

@@ -272,6 +272,8 @@ class SimPlatform:
         return self.base_url
 
     def stop(self) -> None:
+        """Remove every function, then close the server. Idempotent."""
+        self.teardown()
         _close(self._server)
         self._server = None
 
@@ -461,8 +463,14 @@ class _JSONHandler(BaseHTTPRequestHandler):
         pass
 
     def _handle(self) -> None:
-        # Always drain the body first: an unread body desyncs keep-alive.
-        length = int(self.headers.get("Content-Length", 0))
+        # Always drain the body first: an unread body desyncs keep-alive,
+        # and a body of unknown length cannot be drained, so it closes.
+        header = self.headers.get("Content-Length", "0")
+        if not header.isdecimal():
+            self.close_connection = True
+            self._respond(400, _client_error(f"bad Content-Length: {header!r}"))
+            return
+        length = int(header)
         body = self.rfile.read(length) if length else b"{}"
         try:
             doc = json.loads(body)
@@ -480,6 +488,8 @@ class _JSONHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -598,6 +608,3 @@ class AdminClient:
 
     def stats(self) -> dict:
         return httpjson.get_json(f"{self.admin_endpoint}/admin/stats", self.timeout)
-
-    def teardown(self) -> None:
-        httpjson.post_json(f"{self.admin_endpoint}/admin/teardown", {}, self.timeout)

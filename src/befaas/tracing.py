@@ -299,7 +299,7 @@ class CallContext:
         return response
 
 
-def wrap_handler(fn_name: str, business_logic: Callable[[Any, CallContext], Any]):
+def wrap_handler(business_logic: Callable[[Any, CallContext], Any]):
     """Wrap business logic into an instrumented handler.
 
     The returned handler takes ``(request_doc, runtime)`` and returns a

@@ -447,7 +447,7 @@ _BUSINESS = {
 
 def build_app() -> Application:
     """Instrument every function and return the deployable application."""
-    handlers = {name: wrap_handler(name, logic) for name, logic in _BUSINESS.items()}
+    handlers = {name: wrap_handler(logic) for name, logic in _BUSINESS.items()}
     return Application(
         name=APP_NAME,
         handlers=handlers,

@@ -94,3 +94,12 @@ def test_seed_and_profile_flags(config_file, tmp_path, monkeypatch):
     assert audit["seed"] == 3
     assert audit["profile"] == "blip"
     assert audit["scheduled_workflows"] == 2
+
+
+def test_run_unknown_profile_is_a_validation_error(config_file, tmp_path, capsys):
+    code = main(["run", "--config", config_file, "--out", str(tmp_path / "b"),
+                 "--profile", "nosuch"])
+    assert code == EXIT_VALIDATION
+    assert "validation error: load profile: unknown load profile preset: 'nosuch'" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()

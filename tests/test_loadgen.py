@@ -72,6 +72,29 @@ class TestRateAt:
 # ---------------------------------------------------------------------------
 
 
+def assert_prefix_counts(profile):
+    """Check that floor(integral) arrivals lie before every phase boundary;
+    return the arrivals."""
+    arrivals = generate_arrivals(profile)
+    boundary = 0.0
+    for phase in profile.phases:
+        boundary += phase.duration_s
+        expected = math.floor(profile_integral(profile, boundary) + 1e-9)
+        got = sum(1 for t in arrivals if t <= boundary + 1e-9)
+        assert got == expected
+    return arrivals
+
+
+# Phases whose running total ends a hair below an integer, and a phase with
+# no rate at all; (phases, arrival count).
+_SUM_TO_ONE = (Phase(1, 0.7, 0.7), Phase(1, 0.2, 0.2), Phase(1, 0.1, 0.1))
+BOUNDARY_CASES = {
+    "thirty-tenths": (tuple(Phase(1, 0.1, 0.1) for _ in range(30)), 3),
+    "sum-to-one": (_SUM_TO_ONE + (Phase(1, 1, 1),), 2),
+    "zero-rate-phase": (_SUM_TO_ONE + (Phase(5, 0, 0), Phase(1, 1, 1)), 2),
+}
+
+
 class TestDeterministicArrivals:
     def test_default_profile_exactly_18000(self):
         arrivals = generate_arrivals(PROFILE_PRESETS["default"])
@@ -119,14 +142,15 @@ class TestDeterministicArrivals:
     def test_prefix_counts_match_integral_floor(self, raw_phases):
         # Arrival-count exactness at every phase boundary.
         phases = tuple(Phase(d, rs, re) for d, rs, re in raw_phases)
-        profile = LoadProfile("gen", phases)
-        arrivals = generate_arrivals(profile)
-        boundary = 0.0
-        for phase in phases:
-            boundary += phase.duration_s
-            expected = math.floor(profile_integral(profile, boundary) + 1e-9)
-            got = sum(1 for t in arrivals if t <= boundary + 1e-9)
-            assert got == expected
+        assert_prefix_counts(LoadProfile("gen", phases))
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+    def test_boundary_cases_place_each_arrival_once(self, name):
+        phases, count = BOUNDARY_CASES[name]
+        profile = LoadProfile(name, phases)
+        arrivals = assert_prefix_counts(profile)
+        assert len(arrivals) == count
+        assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
 
 
 class TestPoissonArrivals:
@@ -168,6 +192,14 @@ class TestWorkflowSpecs:
             WorkflowSpec("too-long", 1.0, tuple(["home"] * 10))
         with pytest.raises(ValueError):
             WorkflowSpec("empty", 1.0, ())
+
+    def test_unknown_step_rejected(self):
+        with pytest.raises(ValueError, match="viewProdcut"):
+            WorkflowSpec("typo", 1.0, ("home", "viewProdcut"))
+
+    @pytest.mark.parametrize("action", sorted(loadgen.ACTIONS))
+    def test_every_action_builds_a_payload(self, action):
+        assert loadgen.build_action(action, {}, random.Random(0))["action"] == action
 
     @pytest.mark.parametrize("weights", [(0.4, 0.3, 0.2, 0.1), None])
     def test_weighted_draw_frequencies(self, weights):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from befaas import analyzer
+from befaas import analyzer, manager
 from befaas.errors import RuntimeFailure, ValidationFailure
 from befaas.manager import ExperimentPlan, ResultsBundle, collect_logs, run_experiment
 from befaas.simplatform import AdminClient
@@ -183,11 +183,60 @@ def test_deployment_collision_fails_run_but_writes_bundle_and_tears_down(tmp_pat
     assert {e["action"] for e in audit["trail"] if e["phase"] == "teardown"}
 
 
-def test_validation_error_raised_before_provisioning(tmp_path):
+@pytest.fixture
+def constructions(monkeypatch):
+    """How often run_experiment constructs a platform and a KV service."""
+    counts = {"SimPlatform": 0, "KVService": 0}
+    for name in counts:
+        def counting(*args, _name=name, _real=getattr(manager, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(manager, name, counting)
+    return counts
+
+
+BAD_CONFIGS = {
+    "unknown app": lambda c: c.update(app="nosuch"),
+    "unknown load profile preset": lambda c: c.update(load_profile="nosuch"),
+    "unknown platform profile preset": lambda c: c["platforms"]["a"].update(profile="nosuch"),
+    "missing mapping": lambda c: c["functions"].pop("email"),
+    "unknown workflow step": lambda c: c.update(
+        workflows=[{"name": "typo", "weight": 1, "steps": ["home", "viewProdcut"]}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_fails_before_anything_is_constructed(tmp_path, constructions, name):
     config = make_config()
-    del config["functions"]["email"]
+    BAD_CONFIGS[name](config)
     with pytest.raises(ValidationFailure):
         run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
+    assert constructions == {"SimPlatform": 0, "KVService": 0}
+    assert not (tmp_path / "x").exists()
+
+
+def test_check_reports_every_bad_entry_at_once(tmp_path, constructions):
+    config = make_config()
+    for spoil in BAD_CONFIGS.values():
+        spoil(config)
+    with pytest.raises(ValidationFailure) as err:
+        run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
+    # The unknown app hides the missing mapping: there is no function list.
+    assert len(err.value.violations) == 4
+    assert constructions == {"SimPlatform": 0, "KVService": 0}
+
+
+def test_failed_bundle_write_still_tears_down(tmp_path, make_platform):
+    platform = make_platform(platform_id="external-a", profile=FAST_PROFILE)
+    config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}},
+                         load_profile={"phases": [{"duration_s": 1, "rate_start": 2,
+                                                   "rate_end": 2}]})
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    with pytest.raises(NotADirectoryError):
+        run_experiment(ExperimentPlan(config=config, out_dir=str(blocker / "bundle")))
+    assert platform.stats()["deployment_count"] == 0
 
 
 def test_federated_run_annotates_platforms(tmp_path):

@@ -1,6 +1,8 @@
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -34,8 +36,8 @@ def _boom(payload, ctx):
 TEST_APP = Application(
     name="unittest-app",
     handlers={
-        "sleepy": wrap_handler("sleepy", _sleepy),
-        "boom": wrap_handler("boom", _boom),
+        "sleepy": wrap_handler(_sleepy),
+        "boom": wrap_handler(_boom),
     },
     entrypoint="sleepy",
 )
@@ -250,6 +252,19 @@ def test_route_contract(make_platform, make_kv, server, method, path, body, stat
     assert (doc["error"]["kind"] if "error" in doc else None) == kind
     if (server, method, path) in NO_ROUTE:
         assert doc["error"]["message"] == f"no route: {path}"
+
+
+def test_non_integer_content_length_is_400_and_closes(make_platform):
+    url = urlsplit(make_platform().base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(b"POST /admin/ping HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(4096):  # the server closes the connection
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"]["kind"] == "client"
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def events_of(lines):
 class TestWrapHandler:
     def test_root_request_mints_fresh_token(self):
         lines = []
-        handler = wrap_handler("testfn", lambda payload, ctx: {"ok": True})
+        handler = wrap_handler(lambda payload, ctx: {"ok": True})
         envelope = handler({"payload": {}}, make_runtime(lines=lines))
         events = events_of(lines)
         assert [e["event_kind"] for e in events] == [
@@ -90,7 +90,7 @@ class TestWrapHandler:
 
     def test_token_propagation(self):
         lines = []
-        handler = wrap_handler("testfn", lambda payload, ctx: payload)
+        handler = wrap_handler(lambda payload, ctx: payload)
         token = {"ctx": "c" * 32, "pair": "d" * 32}
         handler({ENVELOPE_KEY: token, "payload": 1}, make_runtime(lines=lines))
         events = events_of(lines)
@@ -99,7 +99,7 @@ class TestWrapHandler:
 
     def test_invocation_events_share_identity(self):
         lines = []
-        handler = wrap_handler("testfn", lambda payload, ctx: None)
+        handler = wrap_handler(lambda payload, ctx: None)
         handler({"payload": {}}, make_runtime(lines=lines))
         events = events_of(lines)
         for key in ("fn", "context_id", "pair_id", "executor_id"):
@@ -108,7 +108,7 @@ class TestWrapHandler:
     def test_sleeping_handler_duration(self):
         # Wall-clock oracle: a 20 ms handler must show >= 20,000 us.
         lines = []
-        handler = wrap_handler("testfn", lambda payload, ctx: time.sleep(0.020))
+        handler = wrap_handler(lambda payload, ctx: time.sleep(0.020))
         handler({"payload": {}}, make_runtime(lines=lines))
         events = {e["event_kind"]: e for e in events_of(lines)}
         assert events["invocation_end"]["ts_us"] - events["invocation_start"]["ts_us"] >= 20_000
@@ -119,7 +119,7 @@ class TestWrapHandler:
         def boom(payload, ctx):
             raise BusinessError("bad input", kind="client")
 
-        envelope = wrap_handler("testfn", boom)({"payload": {}}, make_runtime(lines=lines))
+        envelope = wrap_handler(boom)({"payload": {}}, make_runtime(lines=lines))
         events = events_of(lines)
         assert events[-1]["event_kind"] == "invocation_end"
         assert events[-1]["error"] is True
@@ -127,14 +127,14 @@ class TestWrapHandler:
         assert envelope_status(envelope) == 400
 
     def test_unexpected_exception_becomes_server_error(self):
-        envelope = wrap_handler("testfn", lambda p, c: 1 / 0)({"payload": {}}, make_runtime())
+        envelope = wrap_handler(lambda p, c: 1 / 0)({"payload": {}}, make_runtime())
         assert envelope["error"]["kind"] == "server"
         assert envelope_status(envelope) == 500
 
     def test_cold_start_only_on_first_invocation(self):
         lines = []
         runtime = make_runtime(lines=lines)
-        handler = wrap_handler("testfn", lambda payload, ctx: None)
+        handler = wrap_handler(lambda payload, ctx: None)
         handler({"payload": {}}, runtime)
         handler({"payload": {}}, runtime)
         kinds = [e["event_kind"] for e in events_of(lines)]
@@ -143,7 +143,7 @@ class TestWrapHandler:
 
 class TestCallFunction:
     def make_callee_transport(self, callee_lines):
-        callee = wrap_handler("callee", lambda payload, ctx: {"echo": payload})
+        callee = wrap_handler(lambda payload, ctx: {"echo": payload})
         callee_runtime = make_runtime(fn="callee", lines=callee_lines)
 
         def transport(url, doc):
@@ -168,7 +168,7 @@ class TestCallFunction:
             transport=transport,
             endpoint_map={"callee": "http://x/fn/callee"},
         )
-        wrap_handler("caller", logic)({"payload": {}}, runtime)
+        wrap_handler(logic)({"payload": {}}, runtime)
 
         caller_events = events_of(caller_lines)
         callee_events = events_of(callee_lines)
@@ -185,7 +185,7 @@ class TestCallFunction:
         def logic(payload, ctx):
             ctx.call("ghost", {})
 
-        envelope = wrap_handler("caller", logic)(
+        envelope = wrap_handler(logic)(
             {"payload": {}}, make_runtime(lines=lines)
         )
         assert envelope["error"]["kind"] == "server"
@@ -204,7 +204,7 @@ class TestCallFunction:
             transport=transport,
             endpoint_map={"callee": "http://x/fn/callee"},
         )
-        wrap_handler("caller", logic)({"payload": {}}, runtime)
+        wrap_handler(logic)({"payload": {}}, runtime)
         events = events_of(caller_lines)
         starts = [e for e in events if e["event_kind"] == "call_start"]
         assert len(starts) == 2
@@ -226,7 +226,7 @@ class TestCallExternal:
         def logic(payload, ctx):
             ctx.call_external("kv", "get", {"key": "k"})
 
-        envelope = wrap_handler("caller", logic)({"payload": {}}, make_runtime())
+        envelope = wrap_handler(logic)({"payload": {}}, make_runtime())
         assert envelope["error"]["kind"] == "server"
         assert "kv" in envelope["error"]["message"]
 
@@ -248,7 +248,7 @@ class TestCallExternal:
             return ctx.call_external("kv", "get", {"key": "a"})
 
         runtime = make_runtime(lines=lines, transport=kv_transport, env={"KV": "http://x/kv"})
-        envelope = wrap_handler("caller", logic)({"payload": {}}, runtime)
+        envelope = wrap_handler(logic)({"payload": {}}, runtime)
         assert envelope["payload"] == {"found": True, "value": 41}
         kinds = [e["event_kind"] for e in events_of(lines)]
         assert kinds.count("external_start") == 2
@@ -260,7 +260,7 @@ class TestCallExternal:
 class TestParseEventLine:
     def test_round_trip(self):
         lines = []
-        wrap_handler("testfn", lambda p, c: None)({"payload": {}}, make_runtime(lines=lines))
+        wrap_handler(lambda p, c: None)({"payload": {}}, make_runtime(lines=lines))
         for line in lines:
             doc = parse_event_line(line)
             assert doc["fn"] == "testfn"
