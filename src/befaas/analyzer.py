@@ -93,10 +93,6 @@ class CallTree:
             c.error for s in self.spans for c in s.outgoing
         )
 
-    def edges(self) -> list[tuple[str, str]]:
-        """(caller fn, target) pairs actually traced, externals included."""
-        return [(span.fn, call.target) for span in self.spans for call in span.outgoing]
-
     def depth(self) -> int:
         def _depth(span: Span) -> int:
             return 1 + max((_depth(c) for c in span.children), default=0)

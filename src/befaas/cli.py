@@ -5,8 +5,9 @@
     befaas analyze --bundle <dir> --out <dir>
     befaas report  --bundle <dir>
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure with teardown
-done, 3 teardown incomplete.
+Exit codes: 0 success, 1 validation error, 2 runtime failure (teardown
+done, bundle marked incomplete) or a file that cannot be read or written,
+3 teardown incomplete.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 
 from . import analyzer, registry
 from .compiler import compile_deployment, load_config, write_artifacts
-from .errors import RuntimeFailure, TeardownIncomplete, ValidationFailure
+from .errors import ConfigurationError, RuntimeFailure, TeardownIncomplete, ValidationFailure
 from .manager import ExperimentPlan, ResultsBundle, run_experiment
 
 EXIT_OK = 0
@@ -28,12 +29,7 @@ EXIT_TEARDOWN = 3
 def _cmd_compile(args) -> int:
     config = load_config(args.config)
     app = registry.get_app(config.get("app", "webshop"))
-    try:
-        artifacts = compile_deployment(app, config)
-    except ValidationFailure as exc:
-        for violation in exc.violations:
-            print(f"validation error: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
+    artifacts = compile_deployment(app, config)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "artifacts.json")
     write_artifacts(artifacts, out_path)
@@ -42,23 +38,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        plan = ExperimentPlan.from_file(
-            args.config, args.out, profile=args.profile, seed=args.seed
-        )
-        bundle = run_experiment(plan)
-    except ValidationFailure as exc:
-        for violation in exc.violations:
-            print(f"validation error: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TeardownIncomplete as exc:
-        print(f"teardown incomplete: {exc}", file=sys.stderr)
-        return EXIT_TEARDOWN
-    except RuntimeFailure as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        if exc.bundle_dir:
-            print(f"partial bundle: {exc.bundle_dir}", file=sys.stderr)
-        return EXIT_RUNTIME
+    plan = ExperimentPlan.from_file(args.config, args.out, profile=args.profile, seed=args.seed)
+    bundle = run_experiment(plan)
     print(
         f"run complete: {bundle.audit['scheduled_workflows']} workflows, "
         f"{len(bundle.events)} events -> {bundle.out_dir}"
@@ -111,8 +92,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; map each error it raises to its exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValidationFailure as exc:
+        for violation in exc.violations:
+            print(f"validation error: {violation}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ConfigurationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except TeardownIncomplete as exc:
+        print(f"teardown incomplete: {exc}", file=sys.stderr)
+        return EXIT_TEARDOWN
+    except RuntimeFailure as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        if exc.bundle_dir:
+            print(f"partial bundle: {exc.bundle_dir}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

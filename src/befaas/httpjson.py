@@ -91,8 +91,12 @@ def _decode(status: int, data: bytes, url: str) -> dict:
     try:
         doc = json.loads(data) if data else {}
     except json.JSONDecodeError:
-        doc = {"error": {"message": f"non-JSON response from {url}"}}
-    if 200 <= status < 300:
+        doc = None
+    if not isinstance(doc, dict):
+        # Every exchange is a JSON object; anything else is a broken server,
+        # even under a 2xx status.
+        doc = {"error": {"message": f"non-object JSON response from {url}", "kind": "server"}}
+    elif 200 <= status < 300:
         return doc
     raise TransportCallError(status, doc)
 
@@ -101,7 +105,7 @@ def post_json(url: str, doc: dict, timeout: float = DEFAULT_TIMEOUT_S) -> dict:
     """POST ``doc`` as JSON; return the decoded 2xx body.
 
     Raises TransportError when no response arrives and TransportCallError
-    for non-2xx statuses.
+    for non-2xx statuses and for bodies that are not a JSON object.
     """
     body = json.dumps(doc, separators=(",", ":")).encode()
     status, data = _exchange("POST", url, body, timeout)

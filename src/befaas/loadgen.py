@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import httpjson
@@ -334,19 +334,6 @@ class LoadRunResult:
     launch_lags_ms: list[float]
     scheduled: int
 
-    def successful_workflows(self, workflows: tuple[WorkflowSpec, ...]) -> int:
-        """Workflows that completed every step with an ok status."""
-        expected = {spec.name: len(spec.steps) for spec in workflows}
-        per_wf: dict[int, list[ClientRecord]] = {}
-        for record in self.records:
-            per_wf.setdefault(record.arrival_index, []).append(record)
-        return sum(
-            1
-            for recs in per_wf.values()
-            if all(r.status == "ok" for r in recs)
-            and len(recs) == expected.get(recs[0].workflow, len(recs))
-        )
-
 
 def execute_workflow(
     spec: WorkflowSpec,
@@ -419,42 +406,33 @@ def run_profile(
 ) -> LoadRunResult:
     """Drive the frontend with a full profile, open loop.
 
-    Each arrival launches its workflow at its scheduled offset; workflows
-    run concurrently while their own steps stay sequential. Workflow types
-    come from a seeded weighted draw, and per-workflow randomness is
-    derived from (seed, arrival index), so a fixed seed reproduces the
-    exact same session sequence.
+    Each arrival submits :func:`execute_workflow` to a thread pool at its
+    scheduled offset; workflows run concurrently while their own steps
+    stay sequential. Workflow types come from a seeded weighted draw, and
+    per-workflow randomness is derived from (seed, arrival index), so a
+    fixed seed reproduces the exact same session sequence. The records
+    come back in arrival order. A workflow that raises does not stop the
+    others: its exception is re-raised once every workflow has finished.
     """
     arrivals = generate_arrivals(profile, seed=seed)
     sequence = draw_workflow_sequence(workflows, len(arrivals), seed)
 
-    records: list[ClientRecord] = []
-    records_lock = threading.Lock()
     lags_ms: list[float] = []
-    threads: list[threading.Thread] = []
+    # A worker per arrival at most, so a slow workflow never delays a launch;
+    # the pool starts a thread only when no worker is idle.
+    with ThreadPoolExecutor(max_workers=len(arrivals) or 1) as pool:
+        futures = []
+        start = time.perf_counter()
+        for index, (at_s, spec) in enumerate(zip(arrivals, sequence)):
+            delay = at_s - (time.perf_counter() - start)
+            if delay > 0:
+                time.sleep(delay)
+            lags_ms.append(max(0.0, (time.perf_counter() - start - at_s) * 1000.0))
+            rng = random.Random(f"{seed}:workflow:{index}")
+            futures.append(pool.submit(
+                execute_workflow, spec, frontend_endpoint, rng, arrival_index=index))
 
-    def launch(index: int, spec: WorkflowSpec) -> None:
-        rng = random.Random(f"{seed}:workflow:{index}")
-        result = execute_workflow(spec, frontend_endpoint, rng, arrival_index=index)
-        with records_lock:
-            records.extend(result)
-
-    start = time.perf_counter()
-    for index, (at_s, spec) in enumerate(zip(arrivals, sequence)):
-        delay = at_s - (time.perf_counter() - start)
-        if delay > 0:
-            time.sleep(delay)
-        lags_ms.append(max(0.0, (time.perf_counter() - start - at_s) * 1000.0))
-        thread = threading.Thread(
-            target=launch, args=(index, spec), name=f"workflow-{index}", daemon=True
-        )
-        thread.start()
-        threads.append(thread)
-
-    for thread in threads:
-        thread.join()
-
-    records.sort(key=lambda r: (r.arrival_index, r.step))
+    records = [record for future in futures for record in future.result()]
     return LoadRunResult(
         records=records,
         workflow_sequence=[spec.name for spec in sequence],

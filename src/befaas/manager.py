@@ -324,13 +324,9 @@ def collect_logs(
     rejects: list[str] = []
     errors: dict[str, str] = {}
     for pid, fns in deployed.items():
-        client = clients.get(pid)
-        if client is None:
-            errors[pid] = "no admin client"
-            continue
         try:
             for fn in fns:
-                for line in client.logs(fn):
+                for line in clients[pid].logs(fn):
                     try:
                         doc = parse_event_line(line)
                     except (ValueError, json.JSONDecodeError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, MutableMapping
 
@@ -212,6 +213,22 @@ class CallContext:
         with self._emit_lock:
             self._runtime.emit(event.to_line())
 
+    def _round_trip(self, kind: str, target: str, call_pair_id: str, endpoint: str,
+                    request: dict) -> dict:
+        """Send ``request`` between a ``<kind>_start`` and a ``<kind>_end`` event.
+
+        A transport failure still emits the end event, marked as an error,
+        before it propagates.
+        """
+        self._event(f"{kind}_start", call_pair_id=call_pair_id, target=target)
+        try:
+            response = self._runtime.transport(endpoint, request)
+        except (TransportError, TransportCallError):
+            self._event(f"{kind}_end", call_pair_id=call_pair_id, target=target, error=True)
+            raise
+        self._event(f"{kind}_end", call_pair_id=call_pair_id, target=target)
+        return response
+
     # -- outgoing function calls -------------------------------------------
 
     def call(self, target: str, payload: Any) -> Any:
@@ -228,11 +245,9 @@ class CallContext:
             ENVELOPE_KEY: {"ctx": self.context_id, "pair": call_pair_id},
             "payload": payload,
         }
-        self._event("call_start", call_pair_id=call_pair_id, target=target)
         try:
-            response = self._runtime.transport(endpoint, request)
+            response = self._round_trip("call", target, call_pair_id, endpoint, request)
         except TransportCallError as exc:
-            self._event("call_end", call_pair_id=call_pair_id, target=target, error=True)
             err = exc.body.get("error", {})
             if exc.status == 429:
                 raise ThrottleError(f"{target} throttled the call") from exc
@@ -241,40 +256,29 @@ class CallContext:
             raise CalleeError(
                 target, err.get("message", str(exc)), err.get("kind", "server")
             ) from exc
-        except TransportError:
-            self._event("call_end", call_pair_id=call_pair_id, target=target, error=True)
-            raise
-        self._event("call_end", call_pair_id=call_pair_id, target=target)
         return response.get("payload")
 
     def call_parallel(self, calls: list[tuple[str, Any]]) -> list[Any]:
         """Issue several calls concurrently and idle until all returned.
 
-        Results come back in argument order. If any call failed, the first
-        failure is re-raised -- after every call has completed, so the
-        event stream always shows the full block.
+        Each member runs :meth:`call` on a pool thread, off the handler
+        thread. Results come back in argument order. If any call failed, the
+        first failure in argument order is re-raised -- after every call has
+        completed, so the event stream always shows the full block. An empty
+        block returns ``[]``.
         """
-        results: list[Any] = [None] * len(calls)
-        failures: list[BaseException | None] = [None] * len(calls)
-
-        def run(index: int, target: str, payload: Any) -> None:
+        def member(target: str, payload: Any) -> Any:
+            # Close the member's cached connections as it ends, so that each
+            # member call opens its own whichever pool thread runs it: the
+            # traffic of a block does not depend on thread reuse.
             try:
-                results[index] = self.call(target, payload)
-            except BaseException as exc:  # noqa: BLE001 - refired below
-                failures[index] = exc
+                return self.call(target, payload)
+            finally:
+                httpjson.close_thread_connections()
 
-        threads = [
-            threading.Thread(target=run, args=(i, t, p), daemon=True)
-            for i, (t, p) in enumerate(calls)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for failure in failures:
-            if failure is not None:
-                raise failure
-        return results
+        with ThreadPoolExecutor(max_workers=len(calls) or 1) as pool:
+            futures = [pool.submit(member, target, payload) for target, payload in calls]
+        return [future.result() for future in futures]
 
     # -- outgoing external-service calls -----------------------------------
 
@@ -287,16 +291,8 @@ class CallContext:
         endpoint = self._runtime.env.get(service.upper())
         if endpoint is None:
             raise ConfigurationError(f"{self.fn}: no endpoint for service {service!r}")
-        call_pair_id = new_id()
         request = {"op": operation, **payload}
-        self._event("external_start", call_pair_id=call_pair_id, target=service)
-        try:
-            response = self._runtime.transport(endpoint, request)
-        except (TransportError, TransportCallError):
-            self._event("external_end", call_pair_id=call_pair_id, target=service, error=True)
-            raise
-        self._event("external_end", call_pair_id=call_pair_id, target=service)
-        return response
+        return self._round_trip("external", service, new_id(), endpoint, request)
 
 
 def wrap_handler(business_logic: Callable[[Any, CallContext], Any]):

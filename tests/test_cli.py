@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from befaas import loadgen
 from befaas.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 
@@ -78,8 +79,6 @@ def test_run_runtime_failure_exit_code(config_file, tmp_path, capsys):
 
 
 def test_seed_and_profile_flags(config_file, tmp_path, monkeypatch):
-    from befaas import loadgen
-
     blip = loadgen.LoadProfile("blip", (loadgen.Phase(2, 1, 1),))
     monkeypatch.setitem(loadgen.PROFILE_PRESETS, "blip", blip)
     bundle_dir = tmp_path / "seeded"
@@ -103,3 +102,44 @@ def test_run_unknown_profile_is_a_validation_error(config_file, tmp_path, capsys
     assert "validation error: load profile: unknown load profile preset: 'nosuch'" in (
         capsys.readouterr().err)
     assert not (tmp_path / "b").exists()
+
+
+def test_compile_unknown_app_is_a_validation_error(config_file, tmp_path, capsys):
+    config = json.loads(open(config_file).read())
+    config["app"] = "nosuch"
+    path = tmp_path / "nosuch.json"
+    path.write_text(json.dumps(config))
+    assert main(["compile", "--config", str(path), "--out", str(tmp_path / "o")]) == (
+        EXIT_VALIDATION)
+    assert capsys.readouterr().err == "validation error: unknown application: 'nosuch'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_into_unwritable_out_is_a_runtime_failure(config_file, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setitem(loadgen.PROFILE_PRESETS, "blip",
+                        loadgen.LoadProfile("blip", (loadgen.Phase(1, 1, 1),)))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code = main(["run", "--config", config_file, "--profile", "blip",
+                 "--out", str(blocker / "bundle")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed: ") and "Not a directory" in err[0]
+
+
+def test_run_with_a_raising_workflow_marks_the_bundle_incomplete(config_file, tmp_path,
+                                                                 monkeypatch, capsys):
+    def broken_workflow(*args, **kwargs):
+        raise AttributeError("broken workflow")
+
+    monkeypatch.setattr(loadgen, "execute_workflow", broken_workflow)
+    monkeypatch.setitem(loadgen.PROFILE_PRESETS, "blip",
+                        loadgen.LoadProfile("blip", (loadgen.Phase(1, 2, 2),)))
+    bundle_dir = tmp_path / "b"
+    code = main(["run", "--config", config_file, "--profile", "blip", "--out", str(bundle_dir)])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "run failed: AttributeError: broken workflow" in err
+    assert f"partial bundle: {bundle_dir}" in err
+    assert json.loads((bundle_dir / "audit.json").read_text())["incomplete"] is True

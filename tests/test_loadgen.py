@@ -1,13 +1,17 @@
 import collections
+import http.server
 import math
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from befaas import loadgen
+from befaas import httpjson, loadgen
 from befaas.compiler import function_endpoint
+from befaas.errors import TransportCallError
 from befaas.loadgen import (
     LoadProfile,
     Phase,
@@ -259,6 +263,50 @@ class TestExecuteWorkflow:
         assert len(records) == 1  # abandoned after the failing step
 
 
+@pytest.fixture
+def raw_frontend():
+    """Start a bare HTTP server that answers every POST with 200 and ``body``."""
+    servers = []
+
+    def factory(body: bytes) -> str:
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/fn/frontend"
+
+    yield factory
+    httpjson.close_thread_connections()
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("body", [b"garbage", b"[]"])
+def test_ok_reply_that_is_not_an_object_is_an_error(raw_frontend, body):
+    endpoint = raw_frontend(body)
+    with pytest.raises(TransportCallError) as err:
+        httpjson.post_json(endpoint, {"payload": {}})
+    assert err.value.status == 200
+    assert err.value.body["error"] == {
+        "message": f"non-object JSON response from {endpoint}", "kind": "server"}
+
+    records = execute_workflow(SLEEPY_WORKFLOW, endpoint, random.Random(1))
+    assert [(r.status, r.context_id) for r in records] == [("error:200", None)] * 3
+
+
 class TestRunProfile:
     def test_count_and_determinism(self, make_platform):
         platform = make_platform()
@@ -267,7 +315,8 @@ class TestRunProfile:
         result = run_profile(profile, (SLEEPY_WORKFLOW,), endpoint, seed=9)
         assert result.scheduled == 10
         assert len(result.records) == 30
-        assert result.successful_workflows((SLEEPY_WORKFLOW,)) == 10
+        assert all(r.status == "ok" for r in result.records)
+        assert sorted({r.arrival_index for r in result.records}) == list(range(10))
         rerun_types = draw_workflow_sequence((SLEEPY_WORKFLOW,), 10, seed=9)
         assert result.workflow_sequence == [s.name for s in rerun_types]
 
@@ -280,6 +329,37 @@ class TestRunProfile:
         lags = sorted(result.launch_lags_ms)
         p99 = lags[int(len(lags) * 0.99) - 1]
         assert p99 <= 50
+
+    def test_records_in_arrival_order_and_threads_joined(self, monkeypatch):
+        def fake_workflow(spec, endpoint, rng, arrival_index):
+            time.sleep(0.05 * (arrival_index % 2))  # odd arrivals finish last
+            return [loadgen.ClientRecord(spec.name, arrival_index, step, action, 0, 0, "ok",
+                                         None)
+                    for step, action in enumerate(spec.steps)]
+
+        monkeypatch.setattr(loadgen, "execute_workflow", fake_workflow)
+        baseline = threading.active_count()
+        profile = LoadProfile("fast", (Phase(0.5, 20, 20),))
+        result = run_profile(profile, (SLEEPY_WORKFLOW,), "http://unused", seed=3)
+        assert threading.active_count() == baseline
+        assert [(r.arrival_index, r.step) for r in result.records] == [
+            (index, step) for index in range(10) for step in range(3)]
+
+    def test_raising_workflow_is_reraised_after_the_others_finish(self, monkeypatch):
+        finished = []
+
+        def fake_workflow(spec, endpoint, rng, arrival_index):
+            if arrival_index == 1:
+                raise RuntimeError("workflow 1 broke")
+            time.sleep(0.1)
+            finished.append(arrival_index)
+            return []
+
+        monkeypatch.setattr(loadgen, "execute_workflow", fake_workflow)
+        profile = LoadProfile("fast", (Phase(0.5, 8, 8),))
+        with pytest.raises(RuntimeError, match="workflow 1 broke"):
+            run_profile(profile, (SLEEPY_WORKFLOW,), "http://unused", seed=3)
+        assert sorted(finished) == [0, 2, 3]
 
     def test_profile_from_config_variants(self):
         assert loadgen.profile_from_config("spike").name == "spike"

@@ -1,10 +1,11 @@
 import json
 import re
+import threading
 import time
 
 import pytest
 
-from befaas.errors import BusinessError, ConfigurationError, TransportCallError
+from befaas.errors import BusinessError, CalleeError, ConfigurationError, TransportCallError
 from befaas.tracing import (
     COLD_START_MARKER,
     ENVELOPE_KEY,
@@ -210,6 +211,55 @@ class TestCallFunction:
         assert len(starts) == 2
         assert starts[0]["call_pair_id"] != starts[1]["call_pair_id"]
         assert starts[0]["context_id"] == starts[1]["context_id"]
+
+    def run_block(self, transport, calls):
+        """Run one parallel block in a handler; return its outcome and the caller's lines."""
+        lines, outcome = [], {}
+
+        def logic(payload, ctx):
+            try:
+                outcome["result"] = ctx.call_parallel(calls)
+            except CalleeError as exc:
+                outcome["error"] = exc
+                outcome["ends_at_raise"] = sum(
+                    1 for e in events_of(lines) if e["event_kind"] == "call_end")
+
+        runtime = make_runtime(lines=lines, transport=transport,
+                               endpoint_map={"callee": "http://x/fn/callee"})
+        wrap_handler(logic)({"payload": {}}, runtime)
+        return outcome, lines
+
+    def test_parallel_results_keep_argument_order(self):
+        def transport(url, doc):
+            index = doc["payload"]["i"]
+            time.sleep(0.01 * (4 - index))  # later members return first
+            return {"payload": index}
+
+        baseline = threading.active_count()
+        outcome, _ = self.run_block(transport, [("callee", {"i": i}) for i in range(4)])
+        assert outcome["result"] == [0, 1, 2, 3]
+        assert threading.active_count() == baseline
+
+    def test_parallel_reraises_first_failure_in_argument_order_after_all_ends(self):
+        def transport(url, doc):
+            index = doc["payload"]["i"]
+            time.sleep({1: 0.05, 2: 0.1, 3: 0.0}.get(index, 0.0))
+            if index in (1, 3):  # member 3 fails first, member 1 comes first
+                raise TransportCallError(500, {"error": {"message": f"m{index}"}})
+            return {"payload": index}
+
+        baseline = threading.active_count()
+        outcome, lines = self.run_block(transport, [("callee", {"i": i}) for i in range(4)])
+        assert str(outcome["error"]) == "call to callee failed: m1"
+        assert outcome["ends_at_raise"] == 4
+        ends = [e for e in events_of(lines) if e["event_kind"] == "call_end"]
+        assert sum(1 for e in ends if e.get("error")) == 2
+        assert threading.active_count() == baseline
+
+    def test_empty_parallel_block(self):
+        outcome, lines = self.run_block(lambda url, doc: {"payload": None}, [])
+        assert outcome["result"] == []
+        assert not any(e["event_kind"].startswith("call_") for e in events_of(lines))
 
     def test_token_wire_size_constant(self):
         # The envelope token must not vary in size between calls to the

@@ -329,8 +329,10 @@ def test_every_traced_edge_is_in_the_static_graph(actions, seed):
         assert tree.root is not None and tree.root.fn == "frontend"
         assert tree.orphans == [] and tree.anomalies == []
         assert tree.node_count == len(tree.spans)
-        for caller, target in tree.edges():
-            assert target in CALL_GRAPH[caller], f"edge {caller}->{target} not in static graph"
+        for span in tree.spans:
+            for call in span.outgoing:
+                assert call.target in CALL_GRAPH[span.fn], (
+                    f"edge {span.fn}->{call.target} not in static graph")
         # Timestamp nesting: outgoing intervals inside their span.
         for span in tree.spans:
             assert span.end_us >= span.start_us
