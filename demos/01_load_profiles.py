@@ -1,9 +1,9 @@
 """Load profiles and arrival schedules.
 
 The load generator turns a phased rate profile into concrete arrival
-timestamps. In deterministic mode an arrival fires whenever the running
-integral of the rate crosses an integer, so the arrival count is exactly
-the integral of the profile: reproducible to the request.
+timestamps. An arrival fires whenever the running integral of the rate
+crosses an integer, so the arrival count is exactly the integral of the
+profile: reproducible to the request.
 """
 from befaas import loadgen
 
@@ -28,11 +28,6 @@ print("growth rate at t=450s:", loadgen.rate_at(loadgen.PROFILE_PRESETS["growth"
 # Desk-scale variants keep experiments short.
 quick = loadgen.generate_arrivals(loadgen.PROFILE_PRESETS["default-60s"])
 print(f"default-60s: {len(quick)} arrivals, first at {quick[0]}s, spacing {quick[1]-quick[0]}s")
-
-# A seeded Poisson mode exists for realism studies; counts then vary
-# around the integral instead of matching it exactly.
-poisson = loadgen.generate_arrivals(loadgen.PROFILE_PRESETS["default-60s"], seed=7, mode="poisson")
-print(f"default-60s (poisson, seed 7): {len(poisson)} arrivals")
 
 # Four customer workflows ship with the webshop; each issues 1-9 frontend
 # requests and is drawn with a fixed weight.

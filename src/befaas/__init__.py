@@ -4,43 +4,5 @@ Deploys an instrumented e-commerce application onto simulated FaaS
 platforms, drives it with phased load profiles, and reconstructs
 per-request call trees with compute/network/query latency decomposition.
 """
-from . import analyzer, compiler, loadgen, manager, simplatform, tracing
-from .compiler import Application, DeploymentArtifact
-from .errors import (
-    BefaasError,
-    BusinessError,
-    CalleeError,
-    ConfigurationError,
-    RuntimeFailure,
-    TeardownIncomplete,
-    ThrottleError,
-    TransportError,
-    ValidationFailure,
-)
-from .manager import ExperimentPlan, ResultsBundle, run_experiment
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Application",
-    "BefaasError",
-    "BusinessError",
-    "CalleeError",
-    "ConfigurationError",
-    "DeploymentArtifact",
-    "ExperimentPlan",
-    "ResultsBundle",
-    "RuntimeFailure",
-    "TeardownIncomplete",
-    "ThrottleError",
-    "TransportError",
-    "ValidationFailure",
-    "analyzer",
-    "compiler",
-    "loadgen",
-    "manager",
-    "run_experiment",
-    "simplatform",
-    "tracing",
-    "__version__",
-]

@@ -16,9 +16,9 @@ import os
 import sys
 
 from . import analyzer, registry
+from .bundle import ResultsBundle
 from .compiler import compile_deployment, load_config, write_artifacts
 from .errors import ConfigurationError, RuntimeFailure, TeardownIncomplete, ValidationFailure
-from .manager import ExperimentPlan, ResultsBundle, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -27,7 +27,7 @@ EXIT_TEARDOWN = 3
 
 
 def _cmd_compile(args) -> int:
-    config = load_config(args.config)
+    config, _ = load_config(args.config)
     app = registry.get_app(config.get("app", "webshop"))
     artifacts = compile_deployment(app, config)
     os.makedirs(args.out, exist_ok=True)
@@ -38,8 +38,12 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    plan = ExperimentPlan.from_file(args.config, args.out, profile=args.profile, seed=args.seed)
-    bundle = run_experiment(plan)
+    config, raw = load_config(args.config)
+    from . import manager  # the runtime; analyze and report must not load it
+
+    plan = manager.ExperimentPlan(config, args.out, profile=args.profile, seed=args.seed,
+                                  config_bytes=raw)
+    bundle = manager.run_experiment(plan)
     print(
         f"run complete: {bundle.audit['scheduled_workflows']} workflows, "
         f"{len(bundle.events)} events -> {bundle.out_dir}"

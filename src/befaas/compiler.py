@@ -194,9 +194,22 @@ def compile_deployment(app: Application, config: Mapping) -> list[DeploymentArti
     return artifacts
 
 
-def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_config(path: str) -> tuple[dict, bytes]:
+    """Read an experiment config file; return the document and its raw bytes.
+
+    Raises ValidationFailure when the file is not JSON or its top level is
+    not an object.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        config = json.loads(raw)
+    except ValueError as exc:  # also a UnicodeDecodeError
+        raise ValidationFailure([f"config {path}: not valid JSON: {exc}"]) from None
+    if not isinstance(config, dict):
+        raise ValidationFailure(
+            [f"config {path}: top level must be an object, not {type(config).__name__}"])
+    return config, raw
 
 
 def write_artifacts(artifacts: Iterable[DeploymentArtifact], out_path: str) -> None:

@@ -1,12 +1,10 @@
 """Open-loop load generation: phased arrival rates and customer workflows.
 
 A load profile is an ordered list of phases, each interpolating linearly
-between a start and end rate (workflows per second). The default arrival
-process is deterministic: an arrival fires whenever the running integral
-of the rate crosses an integer, so the arrival count over any prefix is
-exactly the floor of the integrated rate — runs are reproducible to the
-request. A seeded Poisson mode (thinning) is available for realism
-studies.
+between a start and end rate (workflows per second). Arrivals are
+deterministic: an arrival fires whenever the running integral of the
+rate crosses an integer, so the arrival count over any prefix is exactly
+the floor of the integrated rate — runs are reproducible to the request.
 
 Workflows are short scripted customer sessions (1 to 9 frontend requests
 each, think time zero). Arrivals are launched on schedule regardless of
@@ -19,7 +17,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import httpjson
 from .clock import now_us
@@ -99,20 +97,12 @@ def _invert_phase(phase: Phase, target: float) -> float:
     return 2.0 * target / (phase.rate_start + math.sqrt(max(disc, 0.0)))
 
 
-def generate_arrivals(
-    profile: LoadProfile, seed: int | None = None, mode: str = "deterministic"
-) -> list[float]:
+def generate_arrivals(profile: LoadProfile) -> list[float]:
     """Arrival timestamps (seconds from run start) for a whole profile.
 
-    Deterministic mode places the k-th arrival where the integrated rate
-    first reaches k, so exactly floor(integral) arrivals occur. Poisson
-    mode draws a seeded inhomogeneous process via thinning.
+    The k-th arrival lies where the integrated rate first reaches k, so
+    exactly floor(integral) arrivals occur.
     """
-    if mode == "poisson":
-        return _poisson_arrivals(profile, seed)
-    if mode != "deterministic":
-        raise ValueError(f"unknown arrival mode: {mode!r}")
-
     # k counts over the whole profile, so an arrival that one phase places
     # at its end (within the tolerance) is not placed again by the next;
     # a phase with no rate adds nothing to the total and places none.
@@ -129,22 +119,6 @@ def generate_arrivals(
         cumulative += phase_total
         offset += phase.duration_s
     return arrivals
-
-
-def _poisson_arrivals(profile: LoadProfile, seed: int | None) -> list[float]:
-    rng = random.Random(seed)
-    rate_max = max(max(p.rate_start, p.rate_end) for p in profile.phases)
-    if rate_max <= 0:
-        return []
-    total = profile.total_duration_s
-    arrivals = []
-    t = 0.0
-    while True:
-        t += rng.expovariate(rate_max)
-        if t >= total:
-            return arrivals
-        if rng.random() * rate_max < rate_at(profile, t):
-            arrivals.append(t)
 
 
 _MIN = 60.0
@@ -412,9 +386,11 @@ def run_profile(
     per-workflow randomness is derived from (seed, arrival index), so a
     fixed seed reproduces the exact same session sequence. The records
     come back in arrival order. A workflow that raises does not stop the
-    others: its exception is re-raised once every workflow has finished.
+    others: the first exception in arrival order is re-raised once every
+    workflow has finished, carrying as ``load_result`` the result of the
+    workflows that did finish.
     """
-    arrivals = generate_arrivals(profile, seed=seed)
+    arrivals = generate_arrivals(profile)
     sequence = draw_workflow_sequence(workflows, len(arrivals), seed)
 
     lags_ms: list[float] = []
@@ -432,10 +408,15 @@ def run_profile(
             futures.append(pool.submit(
                 execute_workflow, spec, frontend_endpoint, rng, arrival_index=index))
 
-    records = [record for future in futures for record in future.result()]
-    return LoadRunResult(
-        records=records,
+    errors = [future.exception() for future in futures if future.exception() is not None]
+    result = LoadRunResult(
+        records=[record for future in futures if future.exception() is None
+                 for record in future.result()],
         workflow_sequence=[spec.name for spec in sequence],
         launch_lags_ms=lags_ms,
         scheduled=len(arrivals),
     )
+    if errors:
+        errors[0].load_result = result
+        raise errors[0]
+    return result

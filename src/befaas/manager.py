@@ -8,26 +8,17 @@ config fails the check before anything is started. Each provisioning step
 records how to undo itself on one stack, which is unwound newest first
 also when a phase fails mid-way; the bundle is written once, after the
 undo, so its audit trail is complete and a failed write leaves nothing
-running.
-
-The results bundle is a directory, not an archive, so the NDJSON files
-stream straight into analysis:
-
-    config.json             byte-identical snapshot of the input config
-    client_records.ndjson   one client record per frontend request
-    events.ndjson           every parsed log event from every platform
-    rejects.log             raw lines that failed to parse
-    audit.json              metadata plus the provisioning/teardown trail
+running. :mod:`befaas.bundle` owns the bundle's layout.
 """
 from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 from . import loadgen, registry
+from .bundle import ResultsBundle
 from .clock import now_us
 from .compiler import Application, compile_deployment, validate
 from .errors import (
@@ -51,24 +42,6 @@ class ExperimentPlan:
     profile: object | None = None  # name or inline doc; overrides the config
     seed: int | None = None
     config_bytes: bytes | None = None
-
-    @classmethod
-    def from_file(
-        cls,
-        config_path: str,
-        out_dir: str,
-        profile: object | None = None,
-        seed: int | None = None,
-    ) -> "ExperimentPlan":
-        with open(config_path, "rb") as fh:
-            raw = fh.read()
-        return cls(
-            config=json.loads(raw),
-            out_dir=out_dir,
-            profile=profile,
-            seed=seed,
-            config_bytes=raw,
-        )
 
     @property
     def resolved_seed(self) -> int:
@@ -96,59 +69,6 @@ class ExperimentPlan:
         return (json.dumps(self.config, indent=2, sort_keys=True) + "\n").encode()
 
 
-@dataclass
-class ResultsBundle:
-    """The joint results of one experiment."""
-
-    out_dir: str
-    client_records: list[dict]
-    events: list[dict]
-    rejects: list[str]
-    audit: dict
-    incomplete: bool = False
-
-    @classmethod
-    def read(cls, bundle_dir: str) -> "ResultsBundle":
-        def read_ndjson(name: str) -> list[dict]:
-            path = os.path.join(bundle_dir, name)
-            if not os.path.exists(path):
-                return []
-            with open(path, "r", encoding="utf-8") as fh:
-                return [json.loads(line) for line in fh if line.strip()]
-
-        rejects_path = os.path.join(bundle_dir, "rejects.log")
-        rejects = []
-        if os.path.exists(rejects_path):
-            with open(rejects_path, "r", encoding="utf-8") as fh:
-                rejects = [line.rstrip("\n") for line in fh]
-        with open(os.path.join(bundle_dir, "audit.json"), "r", encoding="utf-8") as fh:
-            audit = json.load(fh)
-        return cls(
-            out_dir=bundle_dir,
-            client_records=read_ndjson("client_records.ndjson"),
-            events=read_ndjson("events.ndjson"),
-            rejects=rejects,
-            audit=audit,
-            incomplete=bool(audit.get("incomplete")),
-        )
-
-    def write(self, config_bytes: bytes) -> None:
-        """Write the five bundle files into ``out_dir``."""
-        os.makedirs(self.out_dir, exist_ok=True)
-        with open(os.path.join(self.out_dir, "config.json"), "wb") as fh:
-            fh.write(config_bytes)
-        for name, docs in (("client_records.ndjson", self.client_records),
-                           ("events.ndjson", self.events)):
-            with open(os.path.join(self.out_dir, name), "w", encoding="utf-8") as fh:
-                for doc in docs:
-                    fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        with open(os.path.join(self.out_dir, "rejects.log"), "w", encoding="utf-8") as fh:
-            for line in self.rejects:
-                fh.write(line + "\n")
-        with open(os.path.join(self.out_dir, "audit.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.audit, fh, indent=2)
-
-
 class _Audit:
     def __init__(self):
         self.entries: list[dict] = []
@@ -167,7 +87,8 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
 
     Phases: check, provision, deploy, run, collect, undo, bundle. Raises
     ValidationFailure before anything is provisioned, RuntimeFailure when
-    a later phase failed (undo and bundle still done), and
+    a later phase failed (collect, undo and bundle still done, the bundle
+    holding the records of the workflows that finished), and
     TeardownIncomplete when resources could not be destroyed.
     """
     config = plan.config
@@ -178,7 +99,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     undo: list[tuple[str, str, Callable[[], object]]] = []  # (action, target, step)
     clients: dict[str, AdminClient] = {}
     deployed: dict[str, list[str]] = {}  # platform -> fns
-    run_error: BefaasError | None = None
+    run_error: Exception | None = None
     load_result = LoadRunResult(records=[], workflow_sequence=[], launch_lags_ms=[], scheduled=0)
     events: list[dict] = []
     rejects: list[str] = []
@@ -186,54 +107,64 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     started_us = now_us()
 
     try:
-        # Provision managed external services, then platforms; a started
-        # platform enters the resolved config as an attached one.
-        resolved = dict(config, platforms=dict(config["platforms"]),
-                        external_services=dict(config.get("external_services") or {}))
-        for service, value in resolved["external_services"].items():
-            managed = value == "managed" or (isinstance(value, dict) and value.get("managed"))
-            if managed:
-                delay = float(value.get("query_delay_ms", 0)) if isinstance(value, dict) else 0.0
-                kv = KVService(query_delay_ms=delay)
-                endpoint = kv.start()
-                undo.append(("stop_service", service, kv.stop))
-                resolved["external_services"][service] = endpoint
-                audit.add("provision", "start_service", service, detail=endpoint)
-            else:
-                audit.add("provision", "link_service", service)
+        try:
+            # Provision managed external services, then platforms; a started
+            # platform enters the resolved config as an attached one.
+            resolved = dict(config, platforms=dict(config["platforms"]),
+                            external_services=dict(config.get("external_services") or {}))
+            for service, value in resolved["external_services"].items():
+                managed = value == "managed" or (isinstance(value, dict) and value.get("managed"))
+                if managed:
+                    delay = (float(value.get("query_delay_ms", 0)) if isinstance(value, dict)
+                             else 0.0)
+                    kv = KVService(query_delay_ms=delay)
+                    endpoint = kv.start()
+                    undo.append(("stop_service", service, kv.stop))
+                    resolved["external_services"][service] = endpoint
+                    audit.add("provision", "start_service", service, detail=endpoint)
+                else:
+                    audit.add("provision", "link_service", service)
 
-        for index, (pid, entry) in enumerate(config["platforms"].items()):
-            if "admin_endpoint" in entry:
-                client = AdminClient(entry["admin_endpoint"])
-                client.ping()
-                audit.add("provision", "attach_platform", pid)
-            else:
-                platform = SimPlatform(pid, platform_profiles[pid],
-                                       port=int(entry.get("port", 0)), seed=seed + index)
-                platform.start()
-                undo.append(("stop_platform", pid, platform.stop))
-                client = AdminClient(platform.base_url)
-                resolved["platforms"][pid] = {"admin_endpoint": platform.base_url}
-                audit.add("provision", "start_platform", pid, detail=platform.base_url)
-            clients[pid] = client
+            for index, (pid, entry) in enumerate(config["platforms"].items()):
+                if "admin_endpoint" in entry:
+                    client = AdminClient(entry["admin_endpoint"])
+                    client.ping()
+                    audit.add("provision", "attach_platform", pid)
+                else:
+                    platform = SimPlatform(pid, platform_profiles[pid],
+                                           port=int(entry.get("port", 0)), seed=seed + index)
+                    platform.start()
+                    undo.append(("stop_platform", pid, platform.stop))
+                    client = AdminClient(platform.base_url)
+                    resolved["platforms"][pid] = {"admin_endpoint": platform.base_url}
+                    audit.add("provision", "start_platform", pid, detail=platform.base_url)
+                clients[pid] = client
 
-        # Compile and deploy.
-        artifacts = compile_deployment(app, resolved)
-        audit.add("compile", "compile", detail=f"{len(artifacts)} artifacts")
-        for artifact in artifacts:
-            pid, fn = artifact.platform_id, artifact.fn
-            endpoint = clients[pid].deploy(artifact.to_doc())
-            undo.append(("remove_function", f"{pid}/{fn}", functools.partial(clients[pid].remove, fn)))
-            deployed.setdefault(pid, []).append(fn)
-            audit.add("deploy", "deploy_function", fn, detail=endpoint)
+            # Compile and deploy.
+            artifacts = compile_deployment(app, resolved)
+            audit.add("compile", "compile", detail=f"{len(artifacts)} artifacts")
+            for artifact in artifacts:
+                pid, fn = artifact.platform_id, artifact.fn
+                endpoint = clients[pid].deploy(artifact.to_doc())
+                undo.append(("remove_function", f"{pid}/{fn}",
+                             functools.partial(clients[pid].remove, fn)))
+                deployed.setdefault(pid, []).append(fn)
+                audit.add("deploy", "deploy_function", fn, detail=endpoint)
 
-        # Run the load profile against the frontend.
-        frontend_endpoint = artifacts[0].endpoint_map[app.entrypoint]
-        audit.add("load", "start_profile", profile.name, detail=frontend_endpoint)
-        load_result = loadgen.run_profile(profile, workflows, frontend_endpoint, seed=seed)
-        audit.add("load", "finish_profile", profile.name, detail=f"{load_result.scheduled} workflows")
+            # Run the load profile against the frontend.
+            frontend_endpoint = artifacts[0].endpoint_map[app.entrypoint]
+            audit.add("load", "start_profile", profile.name, detail=frontend_endpoint)
+            load_result = loadgen.run_profile(profile, workflows, frontend_endpoint, seed=seed)
+            audit.add("load", "finish_profile", profile.name,
+                      detail=f"{load_result.scheduled} workflows")
 
-        # Collect logs from every platform.
+        except Exception as exc:  # noqa: BLE001 - orchestration boundary
+            audit.add("run", "failed", status="error", detail=str(exc))
+            run_error = exc
+            load_result = getattr(exc, "load_result", load_result)
+
+        # Collect logs from every platform that has deployments, also after
+        # a failed phase, so that a partial bundle keeps what ran.
         events, rejects, collect_errors = collect_logs(clients, deployed)
         for pid, message in collect_errors.items():
             incomplete = True
@@ -241,9 +172,8 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
         audit.add("collect", "collected", detail=f"{len(events)} events, {len(rejects)} rejects")
 
     except Exception as exc:  # noqa: BLE001 - orchestration boundary
-        audit.add("run", "failed", status="error", detail=str(exc))
-        run_error = exc if isinstance(exc, BefaasError) else RuntimeFailure(
-            f"{type(exc).__name__}: {exc}")
+        audit.add("collect", "failed", status="error", detail=str(exc))
+        run_error = run_error or exc
     finally:  # an interrupt, too, leaves nothing deployed
         leftovers = _teardown(undo, audit)
 
@@ -272,7 +202,9 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     if leftovers:
         raise TeardownIncomplete(f"{len(leftovers)} resources left: {leftovers}", leftovers)
     if run_error is not None:
-        raise RuntimeFailure(str(run_error), bundle_dir=bundle.out_dir) from run_error
+        message = str(run_error) if isinstance(run_error, BefaasError) else (
+            f"{type(run_error).__name__}: {run_error}")
+        raise RuntimeFailure(message, bundle_dir=bundle.out_dir) from run_error
     return bundle
 
 

@@ -367,15 +367,27 @@ class TestExport:
         got = {name: open(path, newline="").read() for name, path in paths.items()}
         assert got == GOLDEN_REPORT
 
-    def test_report_runs_without_numpy(self, tmp_path):
-        (tmp_path / "audit.json").write_text("{}")
-        (tmp_path / "events.ndjson").write_text(
+    @pytest.mark.parametrize("command", ["report", "analyze"])
+    def test_report_runs_without_numpy(self, tmp_path, command):
+        # Analysis reads a bundle offline: neither numpy nor any runtime
+        # module (platforms, load generator, tracing, HTTP server, thread
+        # pools) may be imported on the way.
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "audit.json").write_text("{}")
+        (bundle / "events.ndjson").write_text(
             "".join(json.dumps(e) + "\n" for e in add_to_cart_chain())
         )
+        blocked = ["numpy", "befaas.manager", "befaas.simplatform", "befaas.loadgen",
+                   "befaas.tracing", "befaas.httpjson", "http.server", "http.client",
+                   "socketserver", "concurrent.futures"]
+        args = [command, "--bundle", str(bundle)]
+        if command == "analyze":
+            args += ["--out", str(tmp_path / "analysis")]
         script = (
-            "import sys; sys.modules['numpy'] = None\n"
+            f"import sys; sys.modules.update(dict.fromkeys({blocked!r}))\n"
             "from befaas.cli import main\n"
-            f"sys.exit(main(['report', '--bundle', {str(tmp_path)!r}]))\n"
+            f"sys.exit(main({args!r}))\n"
         )
         src = os.path.dirname(os.path.dirname(befaas.__file__))
         done = subprocess.run(
@@ -383,7 +395,11 @@ class TestExport:
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert "cold starts: 1 across 1 functions" in done.stdout
+        if command == "report":
+            assert "cold starts: 1 across 1 functions" in done.stdout
+        else:
+            summary = (tmp_path / "analysis" / "summary.txt").read_text()
+            assert "cold starts: 1 across 1 functions" in summary
 
     def test_shape_signature_ignores_ids(self):
         sig1 = assemble(add_to_cart_chain("c1"))[0].shape_signature()

@@ -130,8 +130,12 @@ def test_run_into_unwritable_out_is_a_runtime_failure(config_file, tmp_path, mon
 
 def test_run_with_a_raising_workflow_marks_the_bundle_incomplete(config_file, tmp_path,
                                                                  monkeypatch, capsys):
-    def broken_workflow(*args, **kwargs):
-        raise AttributeError("broken workflow")
+    real_workflow = loadgen.execute_workflow
+
+    def broken_workflow(*args, arrival_index, **kwargs):
+        if arrival_index == 1:
+            raise AttributeError("broken workflow")
+        return real_workflow(*args, arrival_index=arrival_index, **kwargs)
 
     monkeypatch.setattr(loadgen, "execute_workflow", broken_workflow)
     monkeypatch.setitem(loadgen.PROFILE_PRESETS, "blip",
@@ -142,4 +146,23 @@ def test_run_with_a_raising_workflow_marks_the_bundle_incomplete(config_file, tm
     err = capsys.readouterr().err
     assert "run failed: AttributeError: broken workflow" in err
     assert f"partial bundle: {bundle_dir}" in err
-    assert json.loads((bundle_dir / "audit.json").read_text())["incomplete"] is True
+    audit = json.loads((bundle_dir / "audit.json").read_text())
+    assert audit["incomplete"] is True
+    assert audit["scheduled_workflows"] == 2
+    records = [json.loads(line) for line in
+               (bundle_dir / "client_records.ndjson").read_text().splitlines()]
+    assert records and {r["arrival_index"] for r in records} == {0}
+    assert (bundle_dir / "events.ndjson").read_text().strip()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1]"])
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_config_that_is_not_a_json_object_is_a_validation_error(tmp_path, capsys, command,
+                                                                 text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"validation error: config {path}: ")
+    assert not out.exists()

@@ -157,26 +157,6 @@ class TestDeterministicArrivals:
         assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
 
 
-class TestPoissonArrivals:
-    def test_seeded_reproducibility(self):
-        profile = PROFILE_PRESETS["default-60s"]
-        assert generate_arrivals(profile, seed=5, mode="poisson") == generate_arrivals(
-            profile, seed=5, mode="poisson"
-        )
-
-    def test_count_near_integral(self):
-        profile = LoadProfile("p", (Phase(200, 5, 5),))
-        counts = [
-            len(generate_arrivals(profile, seed=s, mode="poisson")) for s in range(5)
-        ]
-        # Poisson(1000): all draws comfortably within 5 sigma.
-        assert all(abs(c - 1000) < 160 for c in counts)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            generate_arrivals(PROFILE_PRESETS["default-60s"], mode="quantum")
-
-
 # ---------------------------------------------------------------------------
 # Workflows
 # ---------------------------------------------------------------------------
@@ -353,13 +333,16 @@ class TestRunProfile:
                 raise RuntimeError("workflow 1 broke")
             time.sleep(0.1)
             finished.append(arrival_index)
-            return []
+            return [loadgen.ClientRecord(spec.name, arrival_index, 0, "home", 0, 0, "ok", None)]
 
         monkeypatch.setattr(loadgen, "execute_workflow", fake_workflow)
         profile = LoadProfile("fast", (Phase(0.5, 8, 8),))
-        with pytest.raises(RuntimeError, match="workflow 1 broke"):
+        with pytest.raises(RuntimeError, match="workflow 1 broke") as raised:
             run_profile(profile, (SLEEPY_WORKFLOW,), "http://unused", seed=3)
         assert sorted(finished) == [0, 2, 3]
+        partial = raised.value.load_result
+        assert [r.arrival_index for r in partial.records] == [0, 2, 3]
+        assert partial.scheduled == 4 and len(partial.launch_lags_ms) == 4
 
     def test_profile_from_config_variants(self):
         assert loadgen.profile_from_config("spike").name == "spike"

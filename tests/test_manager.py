@@ -4,8 +4,9 @@ import os
 import pytest
 
 from befaas import analyzer, manager
+from befaas.bundle import ResultsBundle
 from befaas.errors import RuntimeFailure, ValidationFailure
-from befaas.manager import ExperimentPlan, ResultsBundle, collect_logs, run_experiment
+from befaas.manager import ExperimentPlan, collect_logs, run_experiment
 from befaas.simplatform import AdminClient
 from befaas.webshop import build_app
 
