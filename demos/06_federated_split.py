@@ -41,6 +41,6 @@ print(f"{both} traces span both platforms")
 
 # A closer look at one checkout: the frontend span sits on the edge
 # platform, everything below it in the cloud.
-checkout = max(trees, key=lambda t: t.node_count)
+checkout = max(trees, key=lambda t: len(t.spans))
 for span in checkout.root.walk():
     print(f"  {span.fn:<20} on {span.platform}")

@@ -22,14 +22,14 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # ---------------------------------------------------------------------------
 # Spans and call trees
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class OutgoingCall:
     """One call_*/external_* pair recorded by the calling function; a
     function call links to its callee's span when that was traced."""
@@ -47,7 +47,7 @@ class OutgoingCall:
         return self.end_us - self.start_us
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One reconstructed invocation."""
 
@@ -84,20 +84,10 @@ class CallTree:
     anomalies: list[str] = field(default_factory=list)
 
     @property
-    def node_count(self) -> int:
-        return 0 if self.root is None else sum(1 for _ in self.root.walk())
-
-    @property
     def has_errors(self) -> bool:
         return any(s.error for s in self.spans) or any(
             c.error for s in self.spans for c in s.outgoing
         )
-
-    def depth(self) -> int:
-        def _depth(span: Span) -> int:
-            return 1 + max((_depth(c) for c in span.children), default=0)
-
-        return 0 if self.root is None else _depth(self.root)
 
     def shape_signature(self) -> str:
         """Canonical structural form: function names, child shapes sorted,
@@ -111,41 +101,74 @@ class CallTree:
         return "" if self.root is None else sig(self.root)
 
 
+_INVOCATION_KINDS = frozenset(("invocation_start", "invocation_end", "cold_start"))
+_CALL_KINDS = frozenset(("call_start", "call_end", "external_start", "external_end"))
+
+# A compact row holds the fields of one event that assembly reads. Its
+# first five fields identify the event for deduplication.
+_KIND, _TS, _FN, _PAIR, _CALL_PAIR, _TARGET, _EXECUTOR, _PLATFORM, _ERROR = range(9)
+
+
 def assemble(events: Iterable[Mapping]) -> list[CallTree]:
     """Group events by context and reconstruct one call tree per context.
+
+    Events are read once, in one pass, so ``events`` may be a generator
+    or a bundle file streamed from disk. Each is kept only as a compact
+    row whose strings exist once per call, and a context's rows are freed
+    as its tree is built.
 
     Collection is idempotent: duplicate records are dropped (keyed by
     context, pair, call pair, kind, and timestamp). Spans whose parent
     call record is missing land on the orphan list with a reason;
     structural anomalies (unpaired events) are reported, never raised.
     """
-    by_context: dict[str, list[Mapping]] = {}
+    strings: dict = {}
+    intern = strings.setdefault
+    by_context: dict[str, list[tuple]] = {}
     for event in events:
-        by_context.setdefault(event["context_id"], []).append(event)
+        context_id, kind = event["context_id"], event["event_kind"]
+        ts, fn, pair_id = event["ts_us"], event["fn"], event["pair_id"]
+        rows = by_context.get(context_id)
+        if rows is None:
+            rows = by_context[intern(context_id, context_id)] = []
+        if kind not in _INVOCATION_KINDS and kind not in _CALL_KINDS:
+            continue
+        call_pair_id, target = event.get("call_pair_id"), event.get("target")
+        executor_id, platform = event.get("executor_id", ""), event.get("platform", "")
+        rows.append((
+            intern(kind, kind), ts, intern(fn, fn), intern(pair_id, pair_id),
+            intern(call_pair_id, call_pair_id), intern(target, target),
+            intern(executor_id, executor_id), intern(platform, platform),
+            bool(event.get("error")),
+        ))
+    strings.clear()  # the rows hold every string; free the table before the trees
+    return [_assemble_context(ctx, by_context.pop(ctx)) for ctx in sorted(by_context)]
 
-    return [_assemble_context(ctx, evs) for ctx, evs in sorted(by_context.items())]
+
+def _target(row: tuple | None) -> str:
+    return "?" if row is None or row[_TARGET] is None else row[_TARGET]
 
 
-def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
+def _assemble_context(context_id: str, rows: list[tuple]) -> CallTree:
     anomalies: list[str] = []
 
-    # One pass drops duplicates and slots each event by its invocation pair
+    # One pass drops duplicates and slots each row by its invocation pair
     # id (invocation_*, cold_start) or by its outgoing call (call_*,
     # external_*).
     seen: set[tuple] = set()
-    invocations: dict[str, dict] = {}
-    outgoing_slots: dict[tuple[str, str], dict] = {}
-    for event in events:
-        kind = event["event_kind"]
-        ident = (event["pair_id"], event.get("call_pair_id"), kind, event["ts_us"], event["fn"])
+    invocations: dict[str, dict[str, tuple]] = {}
+    outgoing_slots: dict[tuple[str, str], dict[str, tuple]] = {}
+    for row in rows:
+        ident = row[:_TARGET]
         if ident in seen:
             continue
         seen.add(ident)
-        if kind in ("invocation_start", "invocation_end", "cold_start"):
-            invocations.setdefault(event["pair_id"], {})[kind] = event
-        elif kind in ("call_start", "call_end", "external_start", "external_end"):
-            key = (event["pair_id"], event.get("call_pair_id", ""))
-            outgoing_slots.setdefault(key, {})[kind] = event
+        kind, call_pair_id = row[_KIND], row[_CALL_PAIR]
+        if kind in _INVOCATION_KINDS:
+            invocations.setdefault(row[_PAIR], {})[kind] = row
+        else:
+            key = (row[_PAIR], "" if call_pair_id is None else call_pair_id)
+            outgoing_slots.setdefault(key, {})[kind] = row
 
     # Pair invocation_start/_end into spans, keyed by the invocation pair id.
     spans: dict[str, Span] = {}
@@ -153,19 +176,20 @@ def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
         start, end = slot.get("invocation_start"), slot.get("invocation_end")
         if start is None or end is None:
             missing = "invocation_start" if start is None else "invocation_end"
-            fn = (start or end or {}).get("fn", "?")
+            row = start or end
+            fn = row[_FN] if row else "?"
             anomalies.append(f"{fn}/{pair_id}: missing {missing}")
             continue
         spans[pair_id] = Span(
-            fn=start["fn"],
+            fn=start[_FN],
             context_id=context_id,
             pair_id=pair_id,
-            start_us=start["ts_us"],
-            end_us=end["ts_us"],
-            executor_id=start.get("executor_id", ""),
-            platform=start.get("platform", ""),
+            start_us=start[_TS],
+            end_us=end[_TS],
+            executor_id=start[_EXECUTOR],
+            platform=start[_PLATFORM],
             cold_start="cold_start" in slot,
-            error=bool(end.get("error")),
+            error=end[_ERROR],
         )
 
     # Pair call_*/external_* into outgoing records on their spans.
@@ -173,7 +197,7 @@ def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
         start = slot.get("call_start") or slot.get("external_start")
         end = slot.get("call_end") or slot.get("external_end")
         if start is None or end is None:
-            target = (start or end or {}).get("target", "?")
+            target = _target(start or end)
             anomalies.append(f"call {call_pair_id} to {target}: unpaired events")
             continue
         span = spans.get(pair_id)
@@ -183,11 +207,11 @@ def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
         span.outgoing.append(
             OutgoingCall(
                 call_pair_id=call_pair_id,
-                target=start.get("target", "?"),
-                kind="external" if start["event_kind"] == "external_start" else "function",
-                start_us=start["ts_us"],
-                end_us=end["ts_us"],
-                error=bool(end.get("error")),
+                target=_target(start),
+                kind="external" if start[_KIND] == "external_start" else "function",
+                start_us=start[_TS],
+                end_us=end[_TS],
+                error=end[_ERROR],
             )
         )
 
@@ -229,14 +253,14 @@ def _assemble_context(context_id: str, events: list[Mapping]) -> CallTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanCompute:
     span: Span
     compute_us: int
     flagged: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeNetwork:
     caller_fn: str
     target: str
@@ -246,7 +270,7 @@ class EdgeNetwork:
     flagged: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class QuerySample:
     fn: str
     target: str
@@ -481,7 +505,7 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
     Durations are microseconds throughout.
     """
     os.makedirs(out_dir, exist_ok=True)
-    breakdowns = [decompose(tree) for tree in trees]
+    breakdowns = _tree_totals(trees)
     report = cold_start_report(trees)
     durations = _durations_by_fn(trees)
 
@@ -568,8 +592,28 @@ def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
 def summarize(trees: Sequence[CallTree]) -> str:
     """Plain-text report: per-function boxplot statistics, the stacked
     compute/network/query aggregates, and the cold-start tally."""
-    breakdowns = [decompose(tree) for tree in trees]
+    breakdowns = _tree_totals(trees)
     return _format_summary(_durations_by_fn(trees), breakdowns, cold_start_report(trees))
+
+
+class _TreeTotals(NamedTuple):
+    """A tree's latency breakdown reduced to the sums the reports print."""
+
+    tree: CallTree
+    compute_us: int
+    network_us: int
+    query_us: int
+    flagged: bool
+
+
+def _tree_totals(trees: Sequence[CallTree]) -> list[_TreeTotals]:
+    # Each breakdown is dropped once summed, so its per-span records never
+    # all exist at once.
+    totals = []
+    for tree in trees:
+        b = decompose(tree)
+        totals.append(_TreeTotals(tree, b.compute_us, b.network_us, b.query_us, b.flagged))
+    return totals
 
 
 def _durations_by_fn(trees: Sequence[CallTree]) -> dict[str, list[int]]:
@@ -582,7 +626,7 @@ def _durations_by_fn(trees: Sequence[CallTree]) -> dict[str, list[int]]:
 
 def _format_summary(
     by_fn: dict[str, list[int]],
-    breakdowns: Sequence[LatencyBreakdown],
+    breakdowns: Sequence[_TreeTotals],
     report: ColdStartReport,
 ) -> str:
     lines: list[str] = []

@@ -26,7 +26,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from . import httpjson, registry
 from .clock import now_us, precise_sleep_ms
 from .compiler import DeploymentArtifact, function_endpoint
-from .errors import ConfigurationError, ThrottleError
+from .errors import ConfigurationError, ThrottleError, TransportCallError
 from .tracing import HandlerRuntime, envelope_status
 
 # ---------------------------------------------------------------------------
@@ -600,8 +600,14 @@ class AdminClient:
         return doc["endpoint"]
 
     def logs(self, fn: str) -> list[str]:
-        doc = httpjson.get_json(f"{self.admin_endpoint}/admin/logs/{fn}", self.timeout)
-        return doc["lines"]
+        """The raw log lines of ``fn``; an answer without a list of lines
+        is a broken server, raised as ``TransportCallError``."""
+        url = f"{self.admin_endpoint}/admin/logs/{fn}"
+        lines = httpjson.get_json(url, self.timeout).get("lines")
+        if not isinstance(lines, list):
+            message = f"no list of lines in the log answer from {url}"
+            raise TransportCallError(200, {"error": {"message": message, "kind": "server"}})
+        return lines
 
     def remove(self, fn: str) -> None:
         httpjson.post_json(f"{self.admin_endpoint}/admin/remove/{fn}", {}, self.timeout)

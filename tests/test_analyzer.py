@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from befaas.analyzer import (
     rtt_one_way,
     stats,
 )
+from befaas.bundle import ResultsBundle
+
+import synthbundle
+from treeshape import depth, node_count
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +89,8 @@ class TestAssemble:
         assert len(trees) == 1
         tree = trees[0]
         assert tree.root.fn == "frontend"
-        assert tree.depth() == 3
-        assert tree.node_count == 3
+        assert depth(tree) == 3
+        assert node_count(tree) == 3
         assert tree.orphans == [] and tree.anomalies == []
         leaf = tree.root.children[0].children[0]
         assert leaf.fn == "cartkvstorage"
@@ -98,7 +103,7 @@ class TestAssemble:
             ev("invocation_end", 10, "frontend", "c", "p"),
         ]
         trees = assemble(events)
-        assert trees[0].node_count == 1
+        assert node_count(trees[0]) == 1
         assert trees[0].root.duration_us == 10
 
     def test_deleting_callee_events_keeps_outgoing_record_no_orphan(self):
@@ -121,10 +126,14 @@ class TestAssemble:
 
     def test_duplicate_events_are_deduplicated(self):
         events = add_to_cart_chain()
-        trees = assemble(events + list(events))
-        assert trees[0].node_count == 3
+        # Same context, pair, kind, timestamp and function: a duplicate,
+        # whatever its other fields say. The first copy is kept.
+        again = dict(events[-1], error=True, executor_id="x-other")
+        trees = assemble(events + list(events) + [again])
+        assert node_count(trees[0]) == 3
         leaf = trees[0].root.children[0].children[0]
         assert len(leaf.outgoing) == 2
+        assert trees[0].root.error is False
 
     def test_unpaired_events_reported_not_raised(self):
         events = add_to_cart_chain()[:-1]  # drop frontend invocation_end
@@ -137,7 +146,43 @@ class TestAssemble:
         events = add_to_cart_chain("c1") + add_to_cart_chain("c2")
         trees = assemble(events)
         assert [t.context_id for t in trees] == ["c1", "c2"]
-        assert all(t.node_count == 3 for t in trees)
+        assert all(node_count(t) == 3 for t in trees)
+
+    def test_missing_fn_or_target_reads_question_mark(self):
+        events = [
+            ev("invocation_start", 0, "frontend", "c", "p"),
+            ev("cold_start", 1, "frontend", "c", "p-lost"),
+            ev("call_start", 5, "frontend", "c", "p", "cp-open"),
+            ev("external_start", 6, "frontend", "c", "p", "cp-bare"),
+            ev("external_end", 9, "frontend", "c", "p", "cp-bare"),
+            ev("invocation_end", 10, "frontend", "c", "p"),
+        ]
+        tree = assemble(events)[0]
+        assert sorted(tree.anomalies) == [
+            "?/p-lost: missing invocation_start",
+            "call cp-open to ?: unpaired events",
+        ]
+        assert [(c.target, c.kind) for c in tree.root.outgoing] == [("?", "external")]
+
+    def test_one_shot_generator_gives_the_same_trees(self):
+        events = add_to_cart_chain("c1") + add_to_cart_chain("c2")[:-1]
+        trees = assemble(events)
+        assert len(trees) == 2 and trees[1].anomalies
+        assert assemble(e for e in events) == trees
+
+    def test_peak_memory_per_event_of_analyzing_a_bundle(self, tmp_path):
+        bundle_dir = synthbundle.write_bundle(str(tmp_path / "bundle"), 300, seed=12)
+        events = len(ResultsBundle.read(bundle_dir).events)
+        tracemalloc.start()
+        try:
+            trees = assemble(ResultsBundle.read(bundle_dir).events)
+            analyzer.export(trees, str(tmp_path / "analysis"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Holding each event as its parsed dict took ~1,400 B per event;
+        # compact rows and slotted spans take ~260 B.
+        assert peak / events < 500, f"{peak / events:.0f} B per event over {events} events"
 
 
 class TestDecompose:

@@ -144,6 +144,31 @@ def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
         kv.stop()
 
 
+@pytest.mark.parametrize("answer", [{}, {"lines": "not a list"}])
+def test_log_answer_without_lines_recorded_others_collected(make_platform, monkeypatch, answer):
+    platform = make_platform(platform_id="alive", profile=FAST_PROFILE)
+    from test_platform import artifact_for
+
+    platform.deploy_artifact(artifact_for("sleepy", platform))
+    import befaas.httpjson as httpjson
+    from befaas.compiler import function_endpoint
+
+    httpjson.post_json(function_endpoint(platform.base_url, "sleepy"), {"payload": {}})
+
+    # The "broken" platform answers every admin request with ``answer``.
+    broken = "http://127.0.0.1:1/broken"
+    real_get = httpjson.get_json
+    monkeypatch.setattr(httpjson, "get_json", lambda url, timeout=60.0: (
+        dict(answer) if url.startswith(broken) else real_get(url, timeout)))
+    events, rejects, errors = collect_logs(
+        {"a": AdminClient(platform.base_url), "b": AdminClient(broken)},
+        {"a": ["sleepy"], "b": ["ghost"]},
+    )
+    assert "no list of lines" in errors["b"]
+    assert "a" not in errors
+    assert len(events) >= 2 and rejects == []
+
+
 def test_unreachable_platform_recorded_others_collected(make_platform):
     platform = make_platform(platform_id="alive", profile=FAST_PROFILE)
     from test_platform import artifact_for

@@ -11,6 +11,7 @@ from befaas.webshop import catalog
 from befaas.webshop.money import NANOS_PER_UNIT, Money
 
 from localharness import LocalHarness
+from treeshape import depth, node_count
 
 
 @pytest.fixture
@@ -169,7 +170,7 @@ def test_add_to_cart_trace_chain(shop):
     add_item(shop, "u1", "OLJCESPC7Z", 1)
     trees = analyzer.assemble(shop.events())
     tree = trees[0]
-    assert tree.depth() == 3  # frontend -> addcartitem -> cartkvstorage
+    assert depth(tree) == 3  # frontend -> addcartitem -> cartkvstorage
     chain = [tree.root.fn, tree.root.children[0].fn, tree.root.children[0].children[0].fn]
     assert chain == ["frontend", "addcartitem", "cartkvstorage"]
     leaf = tree.root.children[0].children[0]
@@ -284,7 +285,7 @@ def test_checkout_tree_larger_than_view_cart_tree(shop):
     shop.lines = {fn: [] for fn in shop.app.function_names}
     ok_payload(do_checkout(shop, "u1"))
     checkout_tree = analyzer.assemble(shop.events())[0]
-    assert checkout_tree.node_count > view_tree.node_count
+    assert node_count(checkout_tree) > node_count(view_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def test_every_traced_edge_is_in_the_static_graph(actions, seed):
         # Exactly one root per context, no orphans, no anomalies.
         assert tree.root is not None and tree.root.fn == "frontend"
         assert tree.orphans == [] and tree.anomalies == []
-        assert tree.node_count == len(tree.spans)
+        assert node_count(tree) == len(tree.spans)
         for span in tree.spans:
             for call in span.outgoing:
                 assert call.target in CALL_GRAPH[span.fn], (
