@@ -12,6 +12,8 @@ import http.client
 import json
 import socket
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable
 from urllib.parse import urlsplit
 
 from .errors import TransportCallError, TransportError
@@ -59,6 +61,25 @@ def close_thread_connections() -> None:
         except OSError:
             pass
     cache.clear()
+
+
+def fan_out(calls: list[Callable[[], object]]) -> list[Future]:
+    """Run each zero-argument call on its own pool thread; wait for all.
+
+    Each call's cached connections are closed as it ends, so every call
+    opens its own whichever thread runs it: the traffic does not depend on
+    thread reuse. Returns the finished futures in call order.
+    """
+    def run(call: Callable[[], object]) -> object:
+        try:
+            return call()
+        finally:
+            close_thread_connections()
+
+    if not calls:
+        return []
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        return [pool.submit(run, call) for call in calls]
 
 
 def _split(url: str) -> tuple[str, int, str]:

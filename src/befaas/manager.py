@@ -4,11 +4,19 @@ One experiment runs through fixed phases: check the whole config,
 provision managed external services and platforms, compile and deploy
 every artifact, drive the load profile, collect logs from every platform,
 undo every provisioning step, and write the joint results bundle. A bad
-config fails the check before anything is started. Each provisioning step
-records how to undo itself on one stack, which is unwound newest first
-also when a phase fails mid-way; the bundle is written once, after the
-undo, so its audit trail is complete and a failed write leaves nothing
-running. :mod:`befaas.bundle` owns the bundle's layout.
+config fails the check before anything is started.
+
+The platform contract is per function (deploy, fetch logs, remove), as
+real providers' admin APIs are. The manager fans out each phase's admin
+calls through :func:`befaas.httpjson.fan_out` and reads the answers in
+call order, so the audit trail and the events do not depend on which call
+finished first. Each provisioning step records how to undo itself in an
+undo group on one stack: a started service or platform is a group of one,
+and the deploy phase pushes one group that removes every deployed
+function. The stack is unwound newest first, each group's steps fanned
+out, also when a phase fails mid-way. The bundle is written once, after
+the undo, so its audit trail is complete and a failed write leaves
+nothing running. :mod:`befaas.bundle` owns the bundle's layout.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from . import loadgen, registry
+from . import httpjson, loadgen, registry
 from .bundle import ResultsBundle
 from .clock import now_us
 from .compiler import Application, compile_deployment, validate
@@ -69,6 +77,10 @@ class ExperimentPlan:
         return (json.dumps(self.config, indent=2, sort_keys=True) + "\n").encode()
 
 
+# One provisioning step's undo: (action, target, step).
+_UndoStep = tuple[str, str, Callable[[], object]]
+
+
 class _Audit:
     def __init__(self):
         self.entries: list[dict] = []
@@ -90,13 +102,20 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     a later phase failed (collect, undo and bundle still done, the bundle
     holding the records of the workflows that finished), and
     TeardownIncomplete when resources could not be destroyed.
+
+    Deploy, collect and each undo group issue their admin calls
+    concurrently, one per function. Their audit entries and events keep
+    the artifact and function order, and the undo is audited per function,
+    newest first. A failed deploy does not stop the others: every artifact
+    is attempted, the deployed ones join the deploy phase's undo group, and
+    the first failure in artifact order is the run's error.
     """
     config = plan.config
     app, profile, workflows, platform_profiles = _check(plan)
     seed = plan.resolved_seed
 
     audit = _Audit()
-    undo: list[tuple[str, str, Callable[[], object]]] = []  # (action, target, step)
+    undo: list[list[_UndoStep]] = []  # groups, newest last
     clients: dict[str, AdminClient] = {}
     deployed: dict[str, list[str]] = {}  # platform -> fns
     run_error: Exception | None = None
@@ -119,7 +138,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
                              else 0.0)
                     kv = KVService(query_delay_ms=delay)
                     endpoint = kv.start()
-                    undo.append(("stop_service", service, kv.stop))
+                    undo.append([("stop_service", service, kv.stop)])
                     resolved["external_services"][service] = endpoint
                     audit.add("provision", "start_service", service, detail=endpoint)
                 else:
@@ -134,7 +153,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
                     platform = SimPlatform(pid, platform_profiles[pid],
                                            port=int(entry.get("port", 0)), seed=seed + index)
                     platform.start()
-                    undo.append(("stop_platform", pid, platform.stop))
+                    undo.append([("stop_platform", pid, platform.stop)])
                     client = AdminClient(platform.base_url)
                     resolved["platforms"][pid] = {"admin_endpoint": platform.base_url}
                     audit.add("provision", "start_platform", pid, detail=platform.base_url)
@@ -143,13 +162,19 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
             # Compile and deploy.
             artifacts = compile_deployment(app, resolved)
             audit.add("compile", "compile", detail=f"{len(artifacts)} artifacts")
-            for artifact in artifacts:
+            futures = httpjson.fan_out([
+                functools.partial(clients[a.platform_id].deploy, a.to_doc()) for a in artifacts])
+            removals: list[_UndoStep] = []
+            undo.append(removals)
+            for artifact, future in zip(artifacts, futures):
                 pid, fn = artifact.platform_id, artifact.fn
-                endpoint = clients[pid].deploy(artifact.to_doc())
-                undo.append(("remove_function", f"{pid}/{fn}",
-                             functools.partial(clients[pid].remove, fn)))
-                deployed.setdefault(pid, []).append(fn)
-                audit.add("deploy", "deploy_function", fn, detail=endpoint)
+                if future.exception() is None:
+                    removals.append(("remove_function", f"{pid}/{fn}",
+                                     functools.partial(clients[pid].remove, fn)))
+                    deployed.setdefault(pid, []).append(fn)
+                    audit.add("deploy", "deploy_function", fn, detail=future.result())
+            for future in futures:
+                future.result()  # raise the first failure in artifact order
 
             # Run the load profile against the frontend.
             frontend_endpoint = artifacts[0].endpoint_map[app.entrypoint]
@@ -247,45 +272,54 @@ def collect_logs(
 ) -> tuple[list[dict], list[str], dict[str, str]]:
     """Fetch and parse logs from every platform.
 
-    Every raw line is parsed as a log event; lines that fail to parse are
-    preserved verbatim in the reject list. An unreachable platform is
-    recorded as an error while the remaining platforms still deliver.
-    Events missing a platform annotation get the collecting platform's id.
+    One fetch per (platform, function) pair, all issued concurrently; the
+    answers are parsed in platform and function order. Every raw line is
+    parsed as a log event; lines that fail to parse are preserved verbatim
+    in the reject list. A platform with a failed fetch is recorded under
+    its id, with the first failure in function order, while the functions
+    that answered still deliver. Events missing a platform annotation get
+    the collecting platform's id.
     """
+    pairs = [(pid, fn) for pid, fns in deployed.items() for fn in fns]
+    futures = httpjson.fan_out([functools.partial(clients[pid].logs, fn) for pid, fn in pairs])
     events: list[dict] = []
     rejects: list[str] = []
     errors: dict[str, str] = {}
-    for pid, fns in deployed.items():
-        try:
-            for fn in fns:
-                for line in clients[pid].logs(fn):
-                    try:
-                        doc = parse_event_line(line)
-                    except (ValueError, json.JSONDecodeError):
-                        rejects.append(line)
-                        continue
-                    doc.setdefault("platform", pid)
-                    events.append(doc)
-        except (TransportError, BefaasError) as exc:
-            errors[pid] = str(exc)
+    for (pid, _), future in zip(pairs, futures):
+        exc = future.exception()
+        if exc is not None:
+            if not isinstance(exc, BefaasError):
+                raise exc
+            errors.setdefault(pid, str(exc))
+            continue
+        for line in future.result():
+            try:
+                doc = parse_event_line(line)
+            except (ValueError, json.JSONDecodeError):
+                rejects.append(line)
+                continue
+            doc.setdefault("platform", pid)
+            events.append(doc)
     return events, rejects, errors
 
 
-def _teardown(undo: list[tuple[str, str, Callable[[], object]]], audit: _Audit) -> list[str]:
-    """Undo the provisioning steps newest first; return what is left.
+def _teardown(undo: list[list[_UndoStep]], audit: _Audit) -> list[str]:
+    """Undo the provisioning groups newest first; return what is left.
 
-    An admin error other than a transport failure means the target is
-    already gone, which counts as undone. Popping makes a second call a
-    no-op.
+    A group's steps run concurrently and are audited one by one, newest
+    first. Every step gets its turn. An admin error other than a transport
+    failure means the target is already gone, which counts as undone.
+    Popping makes a second call a no-op.
     """
     leftovers: list[str] = []
     while undo:
-        action, target, step = undo.pop()
-        try:
-            step()
-            audit.add("teardown", action, target)
-        except Exception as exc:  # noqa: BLE001 - every step gets its turn
-            if isinstance(exc, BefaasError) and not isinstance(exc, TransportError):
+        group = undo.pop()
+        futures = httpjson.fan_out([step for _, _, step in group])
+        for (action, target, _), future in reversed(list(zip(group, futures))):
+            exc = future.exception()
+            if exc is None:
+                audit.add("teardown", action, target)
+            elif isinstance(exc, BefaasError) and not isinstance(exc, TransportError):
                 audit.add("teardown", action, target, detail="already absent")
             else:
                 leftovers.append(f"{action} {target}")

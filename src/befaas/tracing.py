@@ -19,10 +19,10 @@ a constant number of bytes per call for a fixed function-name length.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, MutableMapping
 
@@ -261,23 +261,15 @@ class CallContext:
     def call_parallel(self, calls: list[tuple[str, Any]]) -> list[Any]:
         """Issue several calls concurrently and idle until all returned.
 
-        Each member runs :meth:`call` on a pool thread, off the handler
-        thread. Results come back in argument order. If any call failed, the
-        first failure in argument order is re-raised -- after every call has
-        completed, so the event stream always shows the full block. An empty
-        block returns ``[]``.
+        Each member runs :meth:`call` on a pool thread of
+        :func:`httpjson.fan_out`, off the handler thread, and opens its own
+        connection. Results come back in argument order. If any call failed,
+        the first failure in argument order is re-raised -- after every call
+        has completed, so the event stream always shows the full block. An
+        empty block returns ``[]``.
         """
-        def member(target: str, payload: Any) -> Any:
-            # Close the member's cached connections as it ends, so that each
-            # member call opens its own whichever pool thread runs it: the
-            # traffic of a block does not depend on thread reuse.
-            try:
-                return self.call(target, payload)
-            finally:
-                httpjson.close_thread_connections()
-
-        with ThreadPoolExecutor(max_workers=len(calls) or 1) as pool:
-            futures = [pool.submit(member, target, payload) for target, payload in calls]
+        futures = httpjson.fan_out(
+            [functools.partial(self.call, target, payload) for target, payload in calls])
         return [future.result() for future in futures]
 
     # -- outgoing external-service calls -----------------------------------

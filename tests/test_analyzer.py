@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ class TestExport:
         a = analyzer.export(trees, str(tmp_path / "a"))
         b = analyzer.export(trees, str(tmp_path / "b"))
         for name in a:
-            assert open(a[name]).read() == open(b[name]).read()
+            assert Path(a[name]).read_text() == Path(b[name]).read_text()
 
     def test_report_matches_golden_text(self, tmp_path):
         # Two cold chains, a warm-only chain and a chain whose middle span
@@ -409,7 +410,10 @@ class TestExport:
         orphan = [e for e in add_to_cart_chain("orphan") if e["fn"] != "addcartitem"]
         events = add_to_cart_chain("c1") + add_to_cart_chain("c2") + warm + orphan
         paths = analyzer.export(assemble(events), str(tmp_path))
-        got = {name: open(path, newline="").read() for name, path in paths.items()}
+        got = {}
+        for name, path in paths.items():
+            with open(path, newline="") as fh:  # keep the csv files' \r\n
+                got[name] = fh.read()
         assert got == GOLDEN_REPORT
 
     @pytest.mark.parametrize("command", ["report", "analyze"])

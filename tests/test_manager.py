@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from befaas import analyzer, manager
 from befaas.bundle import ResultsBundle
 from befaas.errors import RuntimeFailure, ValidationFailure
 from befaas.manager import ExperimentPlan, collect_logs, run_experiment
-from befaas.simplatform import AdminClient
+from befaas.simplatform import AdminClient, SimPlatform, profile_from_config
 from befaas.webshop import build_app
 
 APP = build_app()
@@ -202,11 +203,53 @@ def test_deployment_collision_fails_run_but_writes_bundle_and_tears_down(tmp_pat
         run_experiment(ExperimentPlan(config=config, out_dir=out))
     assert err.value.bundle_dir == out
     assert os.path.exists(os.path.join(out, "audit.json"))
-    audit = json.load(open(os.path.join(out, "audit.json")))
+    with open(os.path.join(out, "audit.json")) as fh:
+        audit = json.load(fh)
     assert audit["incomplete"] is True
     assert any(e["status"] == "error" for e in audit["trail"])
-    # Teardown removed whatever the experiment had deployed.
-    assert {e["action"] for e in audit["trail"] if e["phase"] == "teardown"}
+    # Every artifact was attempted, and teardown removed each function the
+    # experiment deployed alongside the collision.
+    deployed = [e["target"] for e in audit["trail"] if e["action"] == "deploy_function"]
+    assert set(deployed) == set(APP.function_names) - {"frontend"}
+    removed = [e["target"] for e in audit["trail"]
+               if e["phase"] == "teardown" and e["action"] == "remove_function"
+               and e["status"] == "ok" and "detail" not in e]
+    assert sorted(removed) == sorted(f"a/{fn}" for fn in deployed)
+    # The pre-occupied frontend belongs to someone else and stays.
+    assert platform.stats()["deployment_count"] == 1
+
+
+class _SlowAdminPlatform(SimPlatform):
+    """Answers every deploy, log fetch and remove after 100 ms."""
+
+    def route(self, method, path, doc):
+        if path == "/admin/deploy" or path.startswith(("/admin/logs/", "/admin/remove/")):
+            time.sleep(0.1)
+        return super().route(method, path, doc)
+
+
+def test_each_lifecycle_phase_issues_its_admin_calls_concurrently(tmp_path):
+    platform = _SlowAdminPlatform("slow-admin", profile_from_config(FAST_PROFILE))
+    platform.start()
+    try:
+        config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}},
+                             load_profile={"phases": [{"duration_s": 1, "rate_start": 2,
+                                                       "rate_end": 2}]})
+        bundle = run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "bundle")))
+    finally:
+        platform.stop()
+    trail = bundle.audit["trail"]
+
+    def ts_us(action: str) -> int:
+        return max(e["ts_us"] for e in trail if e["action"] == action)
+
+    assert len(APP.function_names) == 17
+    assert sum(e["action"] == "deploy_function" for e in trail) == 17
+    assert sum(e["action"] == "remove_function" and e["status"] == "ok" for e in trail) == 17
+    # Sequential calls would need 17 x 100 ms = 1.7 s per phase.
+    assert (ts_us("deploy_function") - ts_us("compile")) / 1e6 < 0.5
+    assert (ts_us("collected") - ts_us("finish_profile")) / 1e6 < 0.5
+    assert (ts_us("remove_function") - ts_us("collected")) / 1e6 < 0.5
 
 
 @pytest.fixture

@@ -513,3 +513,22 @@ class TestProfiles:
         platform.stop()
         with pytest.raises(TransportError):
             httpjson.post_json(url, {"payload": {}}, timeout=2.0)
+
+
+@pytest.mark.parametrize("server", ["platform", "kv"])
+def test_stop_returns_at_once_and_closes_the_serve_loop(make_platform, make_kv, server):
+    if server == "platform":
+        service = make_platform()
+        ping = f"{service.base_url}/admin/ping"
+    else:
+        service = make_kv()
+        ping = service.endpoint[: -len("/kv")] + "/ping"
+    httpjson.get_json(ping)
+    httpjson.close_thread_connections()
+    time.sleep(0.05)  # inside the 0.5 s poll that serve_forever would wait out
+    served = service._server
+    t0 = time.perf_counter()
+    service.stop()
+    assert time.perf_counter() - t0 < 0.1
+    assert not served.thread.is_alive()
+    assert served.wake_r.fileno() == -1 and served.wake_w.fileno() == -1
