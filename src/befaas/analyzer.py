@@ -14,15 +14,26 @@ it carries. Per-span latency splits into
 For a fully synchronous tree these components sum exactly to the root's
 end-to-end duration. All functions here are pure over the event
 collection; nothing mutates shared state.
+
+Analysis never holds a whole bundle. :func:`iter_trees` makes two
+passes: the first reads the events once and spills compact rows to
+unnamed temporary files, one per first character of the context id,
+which take about the rows' size on disk; the second reads one partition
+back at a time and yields its trees in context order. :func:`export` and
+:func:`summarize` read the trees once: rows are written as each tree
+arrives, and only the numbers the summary needs (span durations,
+cold-start tallies, per-tree component sums) are kept.
 """
 from __future__ import annotations
 
 import csv
+import marshal
 import math
 import os
 import statistics
+import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
 # Spans and call trees
@@ -109,40 +120,108 @@ _CALL_KINDS = frozenset(("call_start", "call_end", "external_start", "external_e
 _KIND, _TS, _FN, _PAIR, _CALL_PAIR, _TARGET, _EXECUTOR, _PLATFORM, _ERROR = range(9)
 
 
-def assemble(events: Iterable[Mapping]) -> list[CallTree]:
-    """Group events by context and reconstruct one call tree per context.
+# Events buffered, across all partitions, before their rows are written
+# out. A larger chunk raises the peak: 16,384 cost 2.4 MB more than 1,024
+# on a bundle of 14,000 events.
+_SPILL_ROWS = 1024
 
-    Events are read once, in one pass, so ``events`` may be a generator
-    or a bundle file streamed from disk. Each is kept only as a compact
-    row whose strings exist once per call, and a context's rows are freed
-    as its tree is built.
+
+def iter_trees(events: Iterable[Mapping]) -> Iterator[CallTree]:
+    """Group events by context and yield one call tree per context, in
+    sorted context order.
+
+    Events are read once, so ``events`` may be a generator or a bundle file
+    streamed from disk. Each is kept only as a compact row whose strings
+    exist once per chunk of rows. Rows go to one unnamed temporary file per
+    partition, the first character of the context id, so only one
+    partition's rows are in memory at a time while its trees are built.
 
     Collection is idempotent: duplicate records are dropped (keyed by
     context, pair, call pair, kind, and timestamp). Spans whose parent
     call record is missing land on the orphan list with a reason;
-    structural anomalies (unpaired events) are reported, never raised.
+    structural anomalies (unpaired events) are reported, never raised. A
+    context whose events are all of other kinds yields a tree without
+    spans.
     """
+    partitions: dict[str, IO[bytes]] = {}
+    try:
+        _spill(events, partitions)
+        # Partitions in key order, and contexts in order within each, are
+        # the contexts in sorted order.
+        for key in sorted(partitions):
+            with partitions.pop(key) as fh:
+                by_context = _read_partition(fh)
+            for context_id in sorted(by_context):
+                yield _assemble_context(context_id, by_context.pop(context_id))
+    finally:
+        for fh in partitions.values():
+            fh.close()
+
+
+def assemble(events: Iterable[Mapping]) -> list[CallTree]:
+    """The trees of :func:`iter_trees` as a list."""
+    return list(iter_trees(events))
+
+
+def _spill(events: Iterable[Mapping], partitions: dict[str, IO[bytes]]) -> None:
+    """Write the compact rows of ``events`` to ``partitions``, one temporary
+    file per first character of the context id, a chunk at a time."""
     strings: dict = {}
     intern = strings.setdefault
-    by_context: dict[str, list[tuple]] = {}
+    chunk: dict[str, list[tuple]] = {}
+    buffered = 0
     for event in events:
         context_id, kind = event["context_id"], event["event_kind"]
         ts, fn, pair_id = event["ts_us"], event["fn"], event["pair_id"]
-        rows = by_context.get(context_id)
+        rows = chunk.get(context_id)
         if rows is None:
-            rows = by_context[intern(context_id, context_id)] = []
-        if kind not in _INVOCATION_KINDS and kind not in _CALL_KINDS:
-            continue
-        call_pair_id, target = event.get("call_pair_id"), event.get("target")
-        executor_id, platform = event.get("executor_id", ""), event.get("platform", "")
-        rows.append((
-            intern(kind, kind), ts, intern(fn, fn), intern(pair_id, pair_id),
-            intern(call_pair_id, call_pair_id), intern(target, target),
-            intern(executor_id, executor_id), intern(platform, platform),
-            bool(event.get("error")),
-        ))
-    strings.clear()  # the rows hold every string; free the table before the trees
-    return [_assemble_context(ctx, by_context.pop(ctx)) for ctx in sorted(by_context)]
+            rows = chunk[intern(context_id, context_id)] = []
+        if kind in _INVOCATION_KINDS or kind in _CALL_KINDS:
+            call_pair_id, target = event.get("call_pair_id"), event.get("target")
+            executor_id, platform = event.get("executor_id", ""), event.get("platform", "")
+            rows.append((
+                intern(kind, kind), ts, intern(fn, fn), intern(pair_id, pair_id),
+                intern(call_pair_id, call_pair_id), intern(target, target),
+                intern(executor_id, executor_id), intern(platform, platform),
+                bool(event.get("error")),
+            ))
+        buffered += 1
+        if buffered == _SPILL_ROWS:
+            _write_chunk(chunk, partitions)
+            strings.clear()
+            buffered = 0
+    _write_chunk(chunk, partitions)
+
+
+def _write_chunk(chunk: dict[str, list[tuple]], partitions: dict[str, IO[bytes]]) -> None:
+    # One length-prefixed marshal record per partition: marshal writes a
+    # string shared by several rows once, and reading a whole record back
+    # with marshal.loads avoids marshal.load's many small reads.
+    by_key: dict[str, dict[str, list[tuple]]] = {}
+    for context_id, rows in chunk.items():
+        by_key.setdefault(context_id[:1], {})[context_id] = rows
+    chunk.clear()
+    for key, part in by_key.items():
+        fh = partitions.get(key)
+        if fh is None:
+            fh = partitions[key] = tempfile.TemporaryFile()
+        record = marshal.dumps(part)
+        fh.write(len(record).to_bytes(8, "little"))
+        fh.write(record)
+
+
+def _read_partition(fh: IO[bytes]) -> dict[str, list[tuple]]:
+    """A partition's rows by context, each context's rows in event order."""
+    fh.seek(0)
+    by_context: dict[str, list[tuple]] = {}
+    while header := fh.read(8):
+        for context_id, rows in marshal.loads(fh.read(int.from_bytes(header, "little"))).items():
+            earlier = by_context.get(context_id)
+            if earlier is None:
+                by_context[context_id] = rows
+            else:
+                earlier.extend(rows)
+    return by_context
 
 
 def _target(row: tuple | None) -> str:
@@ -415,22 +494,10 @@ class ColdStartReport:
         return sum(self.counts_by_fn.values())
 
 
-def cold_start_report(trees: Sequence[CallTree]) -> ColdStartReport:
+def cold_start_report(trees: Iterable[CallTree]) -> ColdStartReport:
     """Count cold starts per function and split root latencies into trees
     that contain at least one cold start versus warm-only trees."""
-    counts: dict[str, int] = {}
-    cold_lat: list[int] = []
-    warm_lat: list[int] = []
-    for tree in trees:
-        if tree.root is None:
-            continue
-        tree_cold = False
-        for span in tree.root.walk():
-            if span.cold_start:
-                counts[span.fn] = counts.get(span.fn, 0) + 1
-                tree_cold = True
-        (cold_lat if tree_cold else warm_lat).append(tree.root.duration_us)
-    return ColdStartReport(counts, cold_lat, warm_lat)
+    return _fold(trees, decomposed=False).cold
 
 
 # ---------------------------------------------------------------------------
@@ -496,139 +563,104 @@ def stats(samples: Sequence[float]) -> SummaryStats:
 # ---------------------------------------------------------------------------
 
 
-def export(trees: Sequence[CallTree], out_dir: str) -> dict[str, str]:
+def export(trees: Iterable[CallTree], out_dir: str) -> dict[str, str]:
     """Write the report artifacts for an assembled run.
 
     Produces functions.csv (one row per span), breakdown.csv (one row per
-    tree), coldstarts.csv (per function), and summary.txt with per-function
-    boxplot statistics and the stacked compute/network/query aggregates.
-    Durations are microseconds throughout.
+    rooted tree), coldstarts.csv (per function), and summary.txt with
+    per-function boxplot statistics and the stacked compute/network/query
+    aggregates. Durations are microseconds throughout. ``trees`` is read
+    once, and each tree's rows are written as it arrives.
     """
     os.makedirs(out_dir, exist_ok=True)
-    breakdowns = _tree_totals(trees)
-    report = cold_start_report(trees)
-    durations = _durations_by_fn(trees)
+    paths = {name: os.path.join(out_dir, name)
+             for name in ("functions.csv", "breakdown.csv", "coldstarts.csv", "summary.txt")}
 
-    functions_csv = os.path.join(out_dir, "functions.csv")
-    with open(functions_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "fn",
-                "context_id",
-                "pair_id",
-                "platform",
-                "start_us",
-                "end_us",
-                "duration_us",
-                "cold_start",
-                "error",
-            ]
-        )
-        for tree in trees:
-            for span in tree.spans:
-                writer.writerow(
-                    [
-                        span.fn,
-                        span.context_id,
-                        span.pair_id,
-                        span.platform,
-                        span.start_us,
-                        span.end_us,
-                        span.duration_us,
-                        int(span.cold_start),
-                        int(span.error),
-                    ]
-                )
+    with open(paths["functions.csv"], "w", newline="", encoding="utf-8") as functions_fh, \
+            open(paths["breakdown.csv"], "w", newline="", encoding="utf-8") as breakdown_fh:
+        functions, breakdown = csv.writer(functions_fh), csv.writer(breakdown_fh)
+        functions.writerow(["fn", "context_id", "pair_id", "platform", "start_us", "end_us",
+                            "duration_us", "cold_start", "error"])
+        breakdown.writerow(["context_id", "root_fn", "end_to_end_us", "compute_us",
+                            "network_us", "query_us", "flagged"])
 
-    breakdown_csv = os.path.join(out_dir, "breakdown.csv")
-    with open(breakdown_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "context_id",
-                "root_fn",
-                "end_to_end_us",
-                "compute_us",
-                "network_us",
-                "query_us",
-                "flagged",
-            ]
-        )
-        for breakdown in breakdowns:
-            if breakdown.tree.root is None:
-                continue
-            writer.writerow(
-                [
-                    breakdown.tree.context_id,
-                    breakdown.tree.root.fn,
-                    breakdown.tree.root.duration_us,
-                    breakdown.compute_us,
-                    breakdown.network_us,
-                    breakdown.query_us,
-                    int(breakdown.flagged),
-                ]
+        def write_rows(tree: CallTree, sums: tuple[int, ...] | None, flagged: bool) -> None:
+            functions.writerows(
+                [span.fn, span.context_id, span.pair_id, span.platform, span.start_us,
+                 span.end_us, span.duration_us, int(span.cold_start), int(span.error)]
+                for span in tree.spans
             )
+            if sums is not None:
+                breakdown.writerow([tree.context_id, tree.root.fn, *sums, int(flagged)])
 
-    coldstarts_csv = os.path.join(out_dir, "coldstarts.csv")
-    with open(coldstarts_csv, "w", newline="", encoding="utf-8") as fh:
+        totals = _fold(trees, write_rows)
+
+    with open(paths["coldstarts.csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fn", "cold_starts", "invocations"])
-        for fn in sorted(durations):
-            writer.writerow([fn, report.counts_by_fn.get(fn, 0), len(durations[fn])])
+        for fn in sorted(totals.durations):
+            writer.writerow([fn, totals.cold.counts_by_fn.get(fn, 0), len(totals.durations[fn])])
 
-    summary_txt = os.path.join(out_dir, "summary.txt")
-    with open(summary_txt, "w", encoding="utf-8") as fh:
-        fh.write(_format_summary(durations, breakdowns, report))
+    with open(paths["summary.txt"], "w", encoding="utf-8") as fh:
+        fh.write(_format_summary(totals))
 
-    return {
-        "functions.csv": functions_csv,
-        "breakdown.csv": breakdown_csv,
-        "coldstarts.csv": coldstarts_csv,
-        "summary.txt": summary_txt,
-    }
+    return paths
 
 
-def summarize(trees: Sequence[CallTree]) -> str:
+def summarize(trees: Iterable[CallTree]) -> str:
     """Plain-text report: per-function boxplot statistics, the stacked
     compute/network/query aggregates, and the cold-start tally."""
-    breakdowns = _tree_totals(trees)
-    return _format_summary(_durations_by_fn(trees), breakdowns, cold_start_report(trees))
+    return _format_summary(_fold(trees))
 
 
-class _TreeTotals(NamedTuple):
-    """A tree's latency breakdown reduced to the sums the reports print."""
+@dataclass
+class _RunTotals:
+    """What the reports keep of a run's trees: span durations by function,
+    the cold-start tally, and the end-to-end time and the compute, network
+    and query sums of each rooted tree."""
 
-    tree: CallTree
-    compute_us: int
-    network_us: int
-    query_us: int
-    flagged: bool
+    durations: dict[str, list[int]] = field(default_factory=dict)
+    cold: ColdStartReport = field(default_factory=lambda: ColdStartReport({}, [], []))
+    components: tuple[list[int], ...] = field(default_factory=lambda: ([], [], [], []))
 
 
-def _tree_totals(trees: Sequence[CallTree]) -> list[_TreeTotals]:
-    # Each breakdown is dropped once summed, so its per-span records never
-    # all exist at once.
-    totals = []
+def _fold(
+    trees: Iterable[CallTree],
+    each: Callable[[CallTree, tuple[int, ...] | None, bool], None] | None = None,
+    decomposed: bool = True,
+) -> _RunTotals:
+    """Read ``trees`` once into the run's totals; pass each tree, its
+    end-to-end and component sums (None without a root) and whether its
+    breakdown was flagged to ``each``. Without ``decomposed``, no tree is
+    decomposed and ``components`` stays empty."""
+    totals = _RunTotals()
+    counts = totals.cold.counts_by_fn
     for tree in trees:
-        b = decompose(tree)
-        totals.append(_TreeTotals(tree, b.compute_us, b.network_us, b.query_us, b.flagged))
+        for span in tree.spans:
+            totals.durations.setdefault(span.fn, []).append(span.duration_us)
+        sums, flagged = None, False
+        if tree.root is not None:
+            tree_cold = False
+            for span in tree.root.walk():
+                if span.cold_start:
+                    counts[span.fn] = counts.get(span.fn, 0) + 1
+                    tree_cold = True
+            latencies = totals.cold.cold_tree_latencies_us if tree_cold \
+                else totals.cold.warm_tree_latencies_us
+            latencies.append(tree.root.duration_us)
+            if decomposed:
+                b = decompose(tree)
+                sums = (tree.root.duration_us, b.compute_us, b.network_us, b.query_us)
+                flagged = b.flagged
+                for values, value in zip(totals.components, sums):
+                    values.append(value)
+        if each is not None:
+            each(tree, sums, flagged)
     return totals
 
 
-def _durations_by_fn(trees: Sequence[CallTree]) -> dict[str, list[int]]:
-    by_fn: dict[str, list[int]] = {}
-    for tree in trees:
-        for span in tree.spans:
-            by_fn.setdefault(span.fn, []).append(span.duration_us)
-    return by_fn
-
-
-def _format_summary(
-    by_fn: dict[str, list[int]],
-    breakdowns: Sequence[_TreeTotals],
-    report: ColdStartReport,
-) -> str:
+def _format_summary(totals: _RunTotals) -> str:
+    by_fn, report = totals.durations, totals.cold
     lines: list[str] = []
     lines.append("per-function execution duration (us)")
     lines.append(
@@ -645,14 +677,8 @@ def _format_summary(
 
     lines.append("")
     lines.append("per-tree latency components (us)")
-    rooted = [b for b in breakdowns if b.tree.root is not None]
-    if rooted:
-        for label, values in (
-            ("end-to-end", [b.tree.root.duration_us for b in rooted]),
-            ("compute", [b.compute_us for b in rooted]),
-            ("network", [b.network_us for b in rooted]),
-            ("query", [b.query_us for b in rooted]),
-        ):
+    if totals.components[0]:
+        for label, values in zip(("end-to-end", "compute", "network", "query"), totals.components):
             total = float(sum(values))
             lines.append(
                 f"{label:<12} total={total:>14.0f}  median={statistics.median(values):>10.0f}"

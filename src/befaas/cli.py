@@ -53,8 +53,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_analyze(args) -> int:
     bundle = ResultsBundle.read(args.bundle)
-    trees = analyzer.assemble(bundle.events)
-    paths = analyzer.export(trees, args.out)
+    paths = analyzer.export(analyzer.iter_trees(bundle.events), args.out)
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
     return EXIT_OK
@@ -62,8 +61,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     bundle = ResultsBundle.read(args.bundle)
-    trees = analyzer.assemble(bundle.events)
-    sys.stdout.write(analyzer.summarize(trees))
+    sys.stdout.write(analyzer.summarize(analyzer.iter_trees(bundle.events)))
     return EXIT_OK
 
 

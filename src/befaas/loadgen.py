@@ -76,16 +76,6 @@ def rate_at(profile: LoadProfile, t_s: float) -> float:
     raise AssertionError("unreachable")
 
 
-def profile_integral(profile: LoadProfile, t_s: float) -> float:
-    """Closed-form integral of the rate over [0, t_s]."""
-    total = 0.0
-    offset = 0.0
-    for phase in profile.phases:
-        total += phase.integral(t_s - offset)
-        offset += phase.duration_s
-    return total
-
-
 def _invert_phase(phase: Phase, target: float) -> float:
     """Local time at which this phase's running integral reaches ``target`` > 0.
 

@@ -449,6 +449,8 @@ class _JSONServer(ThreadingHTTPServer):
     Its loop selects on the listening socket and on one end of a socket
     pair; :func:`_close` writes a byte to the other end, so a stop wakes
     the loop at once instead of waiting out ``serve_forever``'s 0.5 s poll.
+    It keeps the socket of every open connection, so that :func:`_close`
+    can also shut the keep-alive connections clients still hold.
     """
 
     daemon_threads = True
@@ -461,6 +463,18 @@ class _JSONServer(ThreadingHTTPServer):
         self.route = route
         self.wake_r, self.wake_w = socket.socketpair()
         self.thread = threading.Thread(target=self._serve, name=name, daemon=True)
+        self.connections: set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self.connections_lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self.connections_lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
 
     def _serve(self) -> None:
         with selectors.DefaultSelector() as selector:
@@ -524,6 +538,15 @@ def _close(server: _JSONServer | None) -> None:
         server.wake_w.send(b"\0")
         server.thread.join()
         server.server_close()
+        # A handler thread waiting for the next request on a keep-alive
+        # connection reads end of file, answers nothing more and ends.
+        with server.connections_lock:
+            connections = list(server.connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the handler closed it meanwhile
+                pass
         server.wake_r.close()
         server.wake_w.close()
 

@@ -185,6 +185,46 @@ class TestAssemble:
         # compact rows and slotted spans take ~260 B.
         assert peak / events < 500, f"{peak / events:.0f} B per event over {events} events"
 
+    def test_streamed_export_peak_memory_per_event(self, tmp_path):
+        bundle_dir = synthbundle.write_bundle(str(tmp_path / "bundle"), 3_000, seed=12)
+        events = len(ResultsBundle.read(bundle_dir).events)
+        tracemalloc.start()
+        try:
+            analyzer.export(analyzer.iter_trees(ResultsBundle.read(bundle_dir).events),
+                            str(tmp_path / "analysis"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Rows spilled to disk by partition and trees written as they are
+        # built leave ~40 B per event; holding every row and every tree
+        # took ~200 B.
+        assert peak / events < 80, f"{peak / events:.0f} B per event over {events} events"
+
+    @pytest.mark.parametrize("spill_rows", [4, 1024])
+    def test_contexts_in_sorted_order_across_partitions(self, tmp_path, monkeypatch, spill_rows):
+        # Few rows per chunk spill each partition several times, and split
+        # contexts over chunks.
+        monkeypatch.setattr(analyzer, "_SPILL_ROWS", spill_rows)
+        contexts = ["a", "", "Z", "ab", "0", "é", "aa"]
+        chains = [add_to_cart_chain(ctx) for ctx in contexts]
+        notes = [ev("note", ts, "frontend", "9", "p-note") for ts in range(3)]
+        events = [e for group in itertools.zip_longest(*chains, notes) for e in group if e]
+
+        trees = assemble(events)
+        assert [t.context_id for t in trees] == sorted(contexts + ["9"])
+        for tree in trees:
+            if tree.context_id == "9":
+                assert tree.spans == [] and tree.root is None and tree.anomalies == []
+            else:
+                one = [e for e in events if e["context_id"] == tree.context_id]
+                assert tree == assemble(one)[0]
+
+        streamed = analyzer.export(analyzer.iter_trees(events), str(tmp_path / "streamed"))
+        listed = analyzer.export(trees, str(tmp_path / "listed"))
+        for name, path in streamed.items():
+            assert Path(path).read_bytes() == Path(listed[name]).read_bytes()
+        assert analyzer.summarize(analyzer.iter_trees(events)) == analyzer.summarize(trees)
+
 
 class TestDecompose:
     def test_chain_fixture_components(self):
@@ -449,6 +489,40 @@ class TestExport:
         else:
             summary = (tmp_path / "analysis" / "summary.txt").read_text()
             assert "cold starts: 1 across 1 functions" in summary
+
+    def test_cli_leaves_no_resource_warning(self, tmp_path):
+        # Under -X dev, a file or spill file left open warns on collection;
+        # -W error turns each warning into an "Exception ignored" on stderr.
+        bundle_dir = synthbundle.write_bundle(str(tmp_path / "bundle"), 200, seed=3)
+        expected = analyzer.export(analyzer.iter_trees(ResultsBundle.read(bundle_dir).events),
+                                   str(tmp_path / "in-process"))
+        src = os.path.dirname(os.path.dirname(befaas.__file__))
+        strict = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning"]
+        early_close = (
+            "import sys\n"
+            "from befaas.analyzer import iter_trees\n"
+            "from befaas.bundle import ResultsBundle\n"
+            "trees = iter_trees(ResultsBundle.read(sys.argv[1]).events)\n"
+            "next(trees)\n"
+            "del trees\n"
+        )
+        runs = {
+            "analyze": ["-m", "befaas.cli", "analyze", "--bundle", bundle_dir,
+                        "--out", str(tmp_path / "analysis")],
+            "report": ["-m", "befaas.cli", "report", "--bundle", bundle_dir],
+            "early close": ["-c", early_close, bundle_dir],
+        }
+        done = {}
+        for name, args in runs.items():
+            done[name] = subprocess.run(
+                strict + args, env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (done[name].returncode, done[name].stderr) == (0, ""), name
+        for name, path in expected.items():
+            got = tmp_path / "analysis" / name
+            assert got.read_bytes() == Path(path).read_bytes(), name
+        assert done["report"].stdout == Path(expected["summary.txt"]).read_text()
 
     def test_shape_signature_ignores_ids(self):
         sig1 = assemble(add_to_cart_chain("c1"))[0].shape_signature()

@@ -21,12 +21,21 @@ from befaas.loadgen import (
     draw_workflow_sequence,
     execute_workflow,
     generate_arrivals,
-    profile_integral,
     rate_at,
     run_profile,
 )
 
 from test_platform import TEST_APP, artifact_for  # reuse the sleepy test app
+
+
+def profile_integral(profile, t_s):
+    """Closed-form integral of the rate over [0, t_s]."""
+    total = 0.0
+    offset = 0.0
+    for phase in profile.phases:
+        total += phase.integral(t_s - offset)
+        offset += phase.duration_s
+    return total
 
 
 def numeric_integral(profile, t_end, dt=0.001):

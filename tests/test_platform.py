@@ -532,3 +532,25 @@ def test_stop_returns_at_once_and_closes_the_serve_loop(make_platform, make_kv, 
     assert time.perf_counter() - t0 < 0.1
     assert not served.thread.is_alive()
     assert served.wake_r.fileno() == -1 and served.wake_w.fileno() == -1
+
+
+@pytest.mark.parametrize("server", ["platform", "kv"])
+def test_stop_closes_the_keep_alive_connections_clients_hold(make_platform, make_kv, server):
+    if server == "platform":
+        service = make_platform()
+        service.deploy_artifact(artifact_for("sleepy", service))
+        url, doc = function_endpoint(service.base_url, "sleepy"), {"payload": {}}
+    else:
+        service = make_kv()
+        url, doc = service.endpoint, {"op": "get", "key": "k"}
+    before = set(threading.enumerate())
+    httpjson.post_json(url, doc)  # leaves this thread's connection open
+    handlers = [t for t in set(threading.enumerate()) - before
+                if t.name.endswith("(process_request_thread)")]
+    assert handlers
+    service.stop()
+    for thread in handlers:
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+    with pytest.raises(TransportError):
+        httpjson.post_json(url, doc, timeout=2.0)
