@@ -122,17 +122,29 @@ def validate(function_names: Sequence[str], config: Mapping) -> list[str]:
     for name, entry in functions.items():
         if name not in seen:
             violations.append(f"unknown function in config: {name}")
-        platform_id = (entry or {}).get("platform")
+        entry = entry or {}
+        if not isinstance(entry, Mapping):
+            violations.append(f"function {name}: entry must be an object")
+            continue
+        platform_id = entry.get("platform")
         if platform_id is None:
             violations.append(f"function {name} has no platform assignment")
-        elif platform_id not in platforms:
+        elif not isinstance(platform_id, str) or platform_id not in platforms:
             violations.append(f"function {name} references unknown platform: {platform_id}")
+        if not isinstance(entry.get("env") or {}, Mapping):
+            violations.append(f"function {name}: env must be an object")
 
     for platform_id, entry in platforms.items():
         if not isinstance(entry, Mapping) or ("profile" not in entry and "admin_endpoint" not in entry):
             violations.append(f"platform {platform_id} needs 'profile' or 'admin_endpoint'")
+        elif not isinstance(entry.get("port", 0), int):
+            violations.append(f"platform {platform_id}: port must be an integer")
 
-    for service, value in (config.get("external_services") or {}).items():
+    services = config.get("external_services") or {}
+    if not isinstance(services, Mapping):
+        violations.append("config 'external_services' must be a mapping")
+        services = {}
+    for service, value in services.items():
         if isinstance(value, str):
             if value != "managed" and not value.startswith("http"):
                 violations.append(f"external service {service}: not a URL or 'managed'")

@@ -111,8 +111,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     the first failure in artifact order is the run's error.
     """
     config = plan.config
-    app, profile, workflows, platform_profiles = _check(plan)
-    seed = plan.resolved_seed
+    app, profile, workflows, platform_profiles, seed = _check(plan)
 
     audit = _Audit()
     undo: list[list[_UndoStep]] = []  # groups, newest last
@@ -233,12 +232,12 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     return bundle
 
 
-def _check(
-    plan: ExperimentPlan,
-) -> tuple[Application, loadgen.LoadProfile, tuple[WorkflowSpec, ...], dict[str, PlatformProfile]]:
-    """Resolve the app, the load profile, the workflows and the profile of
-    every managed platform; raise one ValidationFailure listing every
-    problem, so that a bad config never reaches provisioning."""
+def _check(plan: ExperimentPlan) -> tuple[
+    Application, loadgen.LoadProfile, tuple[WorkflowSpec, ...], dict[str, PlatformProfile], int
+]:
+    """Resolve the app, the load profile, the workflows, the profile of
+    every managed platform and the seed; raise one ValidationFailure
+    listing every problem, so that a bad config never reaches provisioning."""
     config = plan.config
     violations: list[str] = []
 
@@ -262,9 +261,10 @@ def _check(
         for pid, entry in (platforms.items() if isinstance(platforms, dict) else ())
         if isinstance(entry, dict) and "profile" in entry and "admin_endpoint" not in entry
     }
+    seed = resolve("seed", lambda: plan.resolved_seed)
     if violations:
         raise ValidationFailure(violations)
-    return app, profile, workflows, platform_profiles
+    return app, profile, workflows, platform_profiles, seed
 
 
 def collect_logs(

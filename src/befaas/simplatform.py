@@ -370,11 +370,9 @@ class SimPlatform:
           deployed.
         - ``POST /admin/remove/<name>``: ``{"ok": true}``, 404 if unknown
           or already removed.
-        - ``POST /admin/teardown``: remove every deployed function;
-          ``{"ok": true}``.
         - ``GET /admin/logs/<name>``: ``{"lines": [...]}`` of the function's
-          latest deployment, which stay readable after remove and teardown
-          until the function is deployed again; 404 if never deployed.
+          latest deployment, which stay readable after remove until the
+          function is deployed again; 404 if never deployed.
         - ``GET /admin/stats``: the document of :meth:`stats`.
         - ``GET /admin/ping``: ``{"platform": platform_id}``.
 
@@ -388,9 +386,6 @@ class SimPlatform:
                 return 200, {"endpoint": self.deploy_artifact(doc)}
             if method == "POST" and path.startswith("/admin/remove/"):
                 self.remove_function(path[len("/admin/remove/"):])
-                return 200, {"ok": True}
-            if method == "POST" and path == "/admin/teardown":
-                self.teardown()
                 return 200, {"ok": True}
             if method == "GET" and path.startswith("/admin/logs/"):
                 return 200, {"lines": self.fetch_logs(path[len("/admin/logs/"):])}
@@ -645,11 +640,11 @@ class AdminClient:
         return doc["endpoint"]
 
     def logs(self, fn: str) -> list[str]:
-        """The raw log lines of ``fn``; an answer without a list of lines
-        is a broken server, raised as ``TransportCallError``."""
+        """The raw log lines of ``fn``; an answer without a list of string
+        lines is a broken server, raised as ``TransportCallError``."""
         url = f"{self.admin_endpoint}/admin/logs/{fn}"
         lines = httpjson.get_json(url, self.timeout).get("lines")
-        if not isinstance(lines, list):
+        if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
             message = f"no list of lines in the log answer from {url}"
             raise TransportCallError(200, {"error": {"message": message, "kind": "server"}})
         return lines

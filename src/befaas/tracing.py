@@ -127,25 +127,34 @@ class LogEvent:
         return json.dumps(doc, separators=(",", ":"))
 
 
-_REQUIRED_EVENT_FIELDS = ("event_kind", "ts_us", "fn", "context_id", "pair_id")
+#: The required fields of an event line and their types.
+_REQUIRED_EVENT_FIELDS = {"event_kind": str, "ts_us": int, "fn": str, "context_id": str,
+                          "pair_id": str}
+
+#: Optional fields, which must be strings where present.
+_OPTIONAL_EVENT_FIELDS = ("call_pair_id", "target", "executor_id", "platform")
 
 
 def parse_event_line(line: str) -> dict:
     """Parse one NDJSON log line into an event dict.
 
     Unknown fields are kept (consumers ignore what they do not understand);
-    missing required fields or an unknown kind raise ValueError.
+    a missing required field, a field of the wrong type or an unknown kind
+    raises ValueError.
     """
     doc = json.loads(line)
     if not isinstance(doc, dict):
         raise ValueError("event line is not an object")
-    for key in _REQUIRED_EVENT_FIELDS:
+    for key, kind in _REQUIRED_EVENT_FIELDS.items():
         if key not in doc:
             raise ValueError(f"event line missing field {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"event field {key!r} must be of type {kind.__name__}")
+    for key in _OPTIONAL_EVENT_FIELDS:
+        if key in doc and not isinstance(doc[key], str):
+            raise ValueError(f"event field {key!r} must be of type str")
     if doc["event_kind"] not in EVENT_KINDS:
         raise ValueError(f"unknown event kind {doc['event_kind']!r}")
-    if not isinstance(doc["ts_us"], int):
-        raise ValueError("ts_us must be an integer")
     return doc
 
 

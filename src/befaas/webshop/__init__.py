@@ -1,5 +1,2 @@
 """Built-in e-commerce benchmark application (17 functions + KV-backed carts)."""
-from .functions import APP_NAME, CALL_GRAPH, ENTRYPOINT, KV_SERVICE, build_app
-from .money import Money
-
-__all__ = ["APP_NAME", "CALL_GRAPH", "ENTRYPOINT", "KV_SERVICE", "Money", "build_app"]
+from .functions import CALL_GRAPH, KV_SERVICE, build_app

@@ -3,11 +3,13 @@
 All customer requests enter through ``frontend``, which routes actions to
 the backend functions. Persistent state (the shopping carts) lives in the
 external key-value service behind ``cartkvstorage``; every function is
-stateless between invocations. ``COMPUTE_MS`` in a deployment's env adds a
-configurable busy period to each function so experiments can dial in a
-known computation share.
+stateless between invocations. :func:`build_app` makes each function spend
+the ``COMPUTE_MS`` of its deployment's env before its logic, so experiments
+can dial in a known computation share.
 """
 from __future__ import annotations
+
+import functools
 
 from ..clock import precise_sleep_ms
 from ..compiler import Application
@@ -15,9 +17,6 @@ from ..errors import BusinessError
 from ..tracing import CallContext, new_id, wrap_handler
 from . import catalog
 from .money import Money, add, convert, multiply, supported_codes
-
-APP_NAME = "webshop"
-ENTRYPOINT = "frontend"
 
 #: External service used for persistence (the only stateful dependency).
 KV_SERVICE = "kv"
@@ -72,20 +71,22 @@ _ADS = [
 ]
 
 
-def _work(ctx: CallContext) -> None:
-    # Configurable per-deployment compute share.
+def _work(logic, payload, ctx: CallContext):
+    """Spend the deployment's ``COMPUTE_MS``, then run ``logic``."""
     ms = float(ctx.env.get("COMPUTE_MS", "0"))
     if ms > 0:
         precise_sleep_ms(ms)
+    return logic(payload, ctx)
 
 
-def _require(payload, *keys):
+def _require(payload, *keys) -> dict:
+    """The named fields of ``payload`` in argument order; each must be set."""
     if not isinstance(payload, dict):
         raise BusinessError("payload must be an object")
     missing = [k for k in keys if payload.get(k) in (None, "")]
     if missing:
         raise BusinessError(f"missing field(s): {', '.join(missing)}")
-    return payload
+    return {k: payload[k] for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +95,10 @@ def _require(payload, *keys):
 
 
 def listproducts(payload, ctx: CallContext):
-    _work(ctx)
     return {"products": catalog.PRODUCTS}
 
 
 def getproduct(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "id")
     product = catalog.get(payload["id"])
     if product is None:
@@ -108,13 +107,11 @@ def getproduct(payload, ctx: CallContext):
 
 
 def searchproducts(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "query")
     return {"results": catalog.search(payload["query"])}
 
 
 def listrecommendations(payload, ctx: CallContext):
-    _work(ctx)
     exclude = set((payload or {}).get("product_ids", []))
     products = ctx.call("listproducts", {})["products"]
     ids = sorted(p["id"] for p in products if p["id"] not in exclude)
@@ -122,7 +119,6 @@ def listrecommendations(payload, ctx: CallContext):
 
 
 def getads(payload, ctx: CallContext):
-    _work(ctx)
     key = str((payload or {}).get("context_key", ""))
     offset = sum(key.encode()) % len(_ADS)
     return {"ads": [_ADS[offset], _ADS[(offset + 1) % len(_ADS)]]}
@@ -134,12 +130,10 @@ def getads(payload, ctx: CallContext):
 
 
 def supportedcurrencies(payload, ctx: CallContext):
-    _work(ctx)
     return {"codes": supported_codes()}
 
 
 def currency(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "amount", "to_code")
     amount = Money.from_doc(payload["amount"])
     return {"amount": convert(amount, payload["to_code"]).to_doc()}
@@ -156,7 +150,6 @@ def _cart_key(user_id: str) -> str:
 
 def cartkvstorage(payload, ctx: CallContext):
     """Cart persistence: the only function talking to the KV service."""
-    _work(ctx)
     _require(payload, "op", "user_id")
     op, user_id = payload["op"], payload["user_id"]
     key = _cart_key(user_id)
@@ -186,31 +179,19 @@ def cartkvstorage(payload, ctx: CallContext):
 
 
 def getcart(payload, ctx: CallContext):
-    _work(ctx)
-    _require(payload, "user_id")
-    return ctx.call("cartkvstorage", {"op": "get", "user_id": payload["user_id"]})
+    return ctx.call("cartkvstorage", {"op": "get", **_require(payload, "user_id")})
 
 
 def addcartitem(payload, ctx: CallContext):
-    _work(ctx)
-    _require(payload, "user_id", "product_id", "quantity")
-    if int(payload["quantity"]) < 1:
+    fields = _require(payload, "user_id", "product_id", "quantity")
+    quantity = int(fields["quantity"])
+    if quantity < 1:
         raise BusinessError("quantity must be >= 1")
-    return ctx.call(
-        "cartkvstorage",
-        {
-            "op": "add_item",
-            "user_id": payload["user_id"],
-            "product_id": payload["product_id"],
-            "quantity": int(payload["quantity"]),
-        },
-    )
+    return ctx.call("cartkvstorage", {"op": "add_item", **fields, "quantity": quantity})
 
 
 def emptycart(payload, ctx: CallContext):
-    _work(ctx)
-    _require(payload, "user_id")
-    return ctx.call("cartkvstorage", {"op": "clear", "user_id": payload["user_id"]})
+    return ctx.call("cartkvstorage", {"op": "clear", **_require(payload, "user_id")})
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +214,6 @@ def _luhn_ok(card_number: str) -> bool:
 
 
 def payment(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "amount", "card_number")
     if not _luhn_ok(str(payload["card_number"])):
         raise BusinessError("card rejected: invalid number")
@@ -241,7 +221,6 @@ def payment(payload, ctx: CallContext):
 
 
 def shipmentquote(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "address", "items")
     units = sum(int(item["quantity"]) for item in payload["items"])
     cost = add(Money("USD", 5, 0), multiply(Money("USD", 0, 750_000_000), units))
@@ -249,13 +228,11 @@ def shipmentquote(payload, ctx: CallContext):
 
 
 def shiporder(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "address", "items")
     return {"tracking_id": f"TRK-{new_id()[:16]}"}
 
 
 def email(payload, ctx: CallContext):
-    _work(ctx)
     _require(payload, "order")
     # No real mail: confirmations are acknowledged, not delivered.
     return {"sent": True}
@@ -263,7 +240,6 @@ def email(payload, ctx: CallContext):
 
 def checkout(payload, ctx: CallContext):
     """Order orchestration across seven backend functions."""
-    _work(ctx)
     _require(payload, "user_id", "currency", "card_number", "address")
     user_id, user_currency = payload["user_id"], payload["currency"]
 
@@ -316,7 +292,6 @@ def _session(payload) -> str:
 
 def frontend(payload, ctx: CallContext):
     """Single entry point: routes customer actions to backend functions."""
-    _work(ctx)
     _require(payload, "action")
     action = payload["action"]
 
@@ -337,9 +312,6 @@ def frontend(payload, ctx: CallContext):
             "recommendations": recs["product_ids"],
             "currencies": currencies["codes"],
         }
-
-    if action == "login":
-        return {"user_id": f"u-{new_id()[:12]}"}
 
     if action == "viewProduct":
         _require(payload, "id")
@@ -364,8 +336,7 @@ def frontend(payload, ctx: CallContext):
         }
 
     if action == "search":
-        _require(payload, "query")
-        return {"results": ctx.call("searchproducts", {"query": payload["query"]})["results"]}
+        return {"results": ctx.call("searchproducts", _require(payload, "query"))["results"]}
 
     if action == "setCurrency":
         _require(payload, "currency")
@@ -375,37 +346,18 @@ def frontend(payload, ctx: CallContext):
         return {"currency": payload["currency"]}
 
     if action == "addToCart":
-        _require(payload, "user_id", "product_id", "quantity")
-        cart = ctx.call(
-            "addcartitem",
-            {
-                "user_id": payload["user_id"],
-                "product_id": payload["product_id"],
-                "quantity": payload["quantity"],
-            },
-        )
-        return {"cart": cart}
+        fields = _require(payload, "user_id", "product_id", "quantity")
+        return {"cart": ctx.call("addcartitem", fields)}
 
     if action == "viewCart":
-        _require(payload, "user_id")
-        return {"cart": ctx.call("getcart", {"user_id": payload["user_id"]})}
+        return {"cart": ctx.call("getcart", _require(payload, "user_id"))}
 
     if action == "emptyCart":
-        _require(payload, "user_id")
-        return {"cart": ctx.call("emptycart", {"user_id": payload["user_id"]})}
+        return {"cart": ctx.call("emptycart", _require(payload, "user_id"))}
 
     if action == "checkout":
-        _require(payload, "user_id", "currency", "card_number", "address")
-        result = ctx.call(
-            "checkout",
-            {
-                "user_id": payload["user_id"],
-                "currency": payload["currency"],
-                "card_number": payload["card_number"],
-                "address": payload["address"],
-            },
-        )
-        return {"order": result["order"]}
+        fields = _require(payload, "user_id", "currency", "card_number", "address")
+        return {"order": ctx.call("checkout", fields)["order"]}
 
     if action == "viewOrderConfirmation":
         _require(payload, "order")
@@ -424,33 +376,22 @@ def frontend(payload, ctx: CallContext):
     raise BusinessError(f"unknown action: {action}")
 
 
-_BUSINESS = {
-    "frontend": frontend,
-    "listproducts": listproducts,
-    "getproduct": getproduct,
-    "searchproducts": searchproducts,
-    "listrecommendations": listrecommendations,
-    "getads": getads,
-    "cartkvstorage": cartkvstorage,
-    "getcart": getcart,
-    "addcartitem": addcartitem,
-    "emptycart": emptycart,
-    "currency": currency,
-    "supportedcurrencies": supportedcurrencies,
-    "payment": payment,
-    "shipmentquote": shipmentquote,
-    "shiporder": shiporder,
-    "checkout": checkout,
-    "email": email,
-}
+#: Every function, in deploy order.
+_FUNCTIONS = (
+    frontend, listproducts, getproduct, searchproducts, listrecommendations, getads,
+    cartkvstorage, getcart, addcartitem, emptycart, currency, supportedcurrencies,
+    payment, shipmentquote, shiporder, checkout, email,
+)
 
 
 def build_app() -> Application:
-    """Instrument every function and return the deployable application."""
-    handlers = {name: wrap_handler(logic) for name, logic in _BUSINESS.items()}
+    """Instrument every function and return the deployable application.
+
+    Each function spends the deployment's ``COMPUTE_MS`` before its logic.
+    """
+    handlers = {
+        logic.__name__: wrap_handler(functools.partial(_work, logic)) for logic in _FUNCTIONS
+    }
     return Application(
-        name=APP_NAME,
-        handlers=handlers,
-        entrypoint=ENTRYPOINT,
-        call_graph=CALL_GRAPH,
+        name="webshop", handlers=handlers, entrypoint="frontend", call_graph=CALL_GRAPH
     )

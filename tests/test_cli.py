@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import befaas
 from befaas import loadgen
 from befaas.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
@@ -165,4 +170,32 @@ def test_config_that_is_not_a_json_object_is_a_validation_error(tmp_path, capsys
     assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"validation error: config {path}: ")
+    assert not out.exists()
+
+
+MISTYPED = {
+    "function entry": lambda c: c["functions"].update(frontend="a"),
+    "env": lambda c: c["functions"]["frontend"].update(env="x"),
+    "seed": lambda c: c.update(seed="x"),
+    "port": lambda c: c["platforms"]["a"].update(port="abc"),
+    "external_services": lambda c: c.update(external_services=["kv"]),
+}
+
+
+@pytest.mark.parametrize("command, defect", [
+    (command, defect) for command in ("compile", "run") for defect in MISTYPED
+    if (command, defect) != ("compile", "seed")  # compile does not read the seed
+])
+def test_mistyped_config_entry_is_one_validation_error(config_file, tmp_path, command, defect):
+    config = json.loads(Path(config_file).read_text())
+    MISTYPED[defect](config)
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(befaas.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "befaas.cli", command, "--config", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_VALIDATION, done.stderr
+    assert done.stderr.startswith("validation error: ") and "Traceback" not in done.stderr
     assert not out.exists()

@@ -145,8 +145,8 @@ def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
         kv.stop()
 
 
-@pytest.mark.parametrize("answer", [{}, {"lines": "not a list"}])
-def test_log_answer_without_lines_recorded_others_collected(make_platform, monkeypatch, answer):
+def collect_beside_broken(make_platform, monkeypatch, answer):
+    """Collect from a live platform "a" and one "b" that answers ``answer``."""
     platform = make_platform(platform_id="alive", profile=FAST_PROFILE)
     from test_platform import artifact_for
 
@@ -165,9 +165,28 @@ def test_log_answer_without_lines_recorded_others_collected(make_platform, monke
         {"a": AdminClient(platform.base_url), "b": AdminClient(broken)},
         {"a": ["sleepy"], "b": ["ghost"]},
     )
-    assert "no list of lines" in errors["b"]
     assert "a" not in errors
-    assert len(events) >= 2 and rejects == []
+    assert len(events) >= 2 and {e["platform"] for e in events} == {"alive"}
+    return rejects, errors
+
+
+@pytest.mark.parametrize("answer", [{}, {"lines": "not a list"}, {"lines": [42]}])
+def test_log_answer_without_lines_recorded_others_collected(make_platform, monkeypatch, answer):
+    rejects, errors = collect_beside_broken(make_platform, monkeypatch, answer)
+    assert "no list of lines" in errors["b"]
+    assert rejects == []
+
+
+GOOD_EVENT = {"event_kind": "invocation_start", "ts_us": 1, "fn": "ghost", "context_id": "c",
+              "pair_id": "p"}
+
+
+@pytest.mark.parametrize("line", [json.dumps(dict(GOOD_EVENT, event_kind=["invocation_start"])),
+                                  json.dumps(dict(GOOD_EVENT, context_id=5))])
+def test_mistyped_log_line_rejected_others_collected(make_platform, monkeypatch, line):
+    rejects, errors = collect_beside_broken(make_platform, monkeypatch, {"lines": [line]})
+    assert rejects == [line]
+    assert errors == {}
 
 
 def test_unreachable_platform_recorded_others_collected(make_platform):

@@ -206,7 +206,7 @@ ROUTES = [
     ("platform", "GET", "/admin/logs/ghost", None, 404, "client"),
     ("platform", "GET", "/admin/ping", None, 200, None),
     ("platform", "GET", "/admin/stats", None, 200, None),
-    ("platform", "POST", "/admin/teardown", {}, 200, None),
+    ("platform", "POST", "/admin/teardown", {}, 404, "client"),
     ("platform", "POST", "/fn/sleepy", {"payload": {}}, 200, None),
     ("platform", "POST", "/fn/ghost", {"payload": {}}, 404, "unreachable"),
     ("platform", "GET", "/fn/x", None, 404, "client"),
@@ -234,7 +234,8 @@ ROUTES = [
      400, "client"),
 ]
 NO_ROUTE = {("platform", "GET", "/fn/x"), ("platform", "POST", "/nope"),
-            ("platform", "GET", "/nope"), ("kv", "POST", "/nope"), ("kv", "GET", "/kv")}
+            ("platform", "GET", "/nope"), ("kv", "POST", "/nope"), ("kv", "GET", "/kv"),
+            ("platform", "POST", "/admin/teardown")}
 
 
 @pytest.mark.parametrize("server, method, path, body, status, kind", ROUTES)
@@ -513,6 +514,28 @@ class TestProfiles:
         platform.stop()
         with pytest.raises(TransportError):
             httpjson.post_json(url, {"payload": {}}, timeout=2.0)
+
+
+def test_shorter_timeout_holds_on_a_reused_connection(make_platform):
+    platform = make_platform()
+    platform.deploy_artifact(artifact_for("sleepy", platform))
+    invoke(platform, "sleepy")  # caches this thread's connection with the default timeout
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError):
+        invoke(platform, "sleepy", {"sleep_s": 1.0}, timeout=0.2)
+    assert time.perf_counter() - t0 < 0.6
+
+
+def test_timed_out_request_is_not_sent_again(make_platform):
+    platform = make_platform()
+    platform.deploy_artifact(artifact_for("sleepy", platform))
+    invoke(platform, "sleepy", timeout=0.2)  # a reused connection gets a retry
+    with pytest.raises(TransportError):
+        invoke(platform, "sleepy", {"sleep_s": 0.5}, timeout=0.2)
+    time.sleep(0.3)  # time enough for a second copy to arrive
+    starts = [e for e in platform_events(platform, "sleepy")
+              if e["event_kind"] == "invocation_start"]
+    assert len(starts) == 2
 
 
 @pytest.mark.parametrize("server", ["platform", "kv"])

@@ -335,6 +335,12 @@ class TestParseEventLine:
             json.dumps({"event_kind": "bogus", "ts_us": 1, "fn": "f", "context_id": "c", "pair_id": "p"}),
             json.dumps({"event_kind": "invocation_start", "fn": "f", "context_id": "c", "pair_id": "p"}),
             json.dumps(["a", "list"]),
+            json.dumps({"event_kind": ["invocation_start"], "ts_us": 1, "fn": "f",
+                        "context_id": "c", "pair_id": "p"}),
+            json.dumps({"event_kind": "invocation_start", "ts_us": 1, "fn": "f",
+                        "context_id": 5, "pair_id": "p"}),
+            json.dumps({"event_kind": "call_start", "ts_us": 1, "fn": "f", "context_id": "c",
+                        "pair_id": "p", "target": None}),
         ],
     )
     def test_rejects_bad_lines(self, line):

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
+from concurrent.futures import Future
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from befaas import analyzer
+from befaas import analyzer, httpjson, loadgen, tracing
+from befaas.errors import TransportCallError
 from befaas.webshop import CALL_GRAPH, KV_SERVICE, build_app
 from befaas.webshop import catalog
 from befaas.webshop.money import NANOS_PER_UNIT, Money
@@ -339,3 +343,111 @@ def test_every_traced_edge_is_in_the_static_graph(actions, seed):
             assert span.end_us >= span.start_us
             for call in span.outgoing:
                 assert span.start_us <= call.start_us <= call.end_us <= span.end_us
+
+
+# ---------------------------------------------------------------------------
+# The application as a whole
+# ---------------------------------------------------------------------------
+
+
+def test_compute_ms_is_spent_once_in_every_function():
+    shop = LocalHarness(env_extra={"COMPUTE_MS": "3"})
+    product_id = "OLJCESPC7Z"
+    requests = [
+        {"action": "home"},
+        {"action": "viewProduct", "id": product_id, "currency": "EUR"},
+        {"action": "search", "query": "kitchen"},
+        {"action": "setCurrency", "currency": "EUR"},
+        {"action": "addToCart", "user_id": "u1", "product_id": product_id, "quantity": 2},
+        {"action": "viewCart", "user_id": "u1"},
+        {"action": "checkout", "user_id": "u1", "currency": "EUR", "card_number": CARD,
+         "address": ADDRESS},
+        {"action": "viewOrderConfirmation", "order": {"order_id": "ORD-1"}},
+        {"action": "emptyCart", "user_id": "u1"},
+    ]
+    assert {r["action"] for r in requests} == loadgen.ACTIONS
+    for request in requests:
+        ok_payload(shop.frontend(request))
+
+    trees = analyzer.assemble(shop.events())
+    assert {span.fn for tree in trees for span in tree.spans} == set(shop.app.function_names)
+    for tree in trees:
+        for share in analyzer.decompose(tree).per_span:
+            assert 3_000 <= share.compute_us < 6_000, (share.span.fn, share.compute_us)
+
+
+def _sequential_fan_out(calls):
+    """httpjson.fan_out without threads, so that ids are drawn in one order."""
+    futures = []
+    for call in calls:
+        future = Future()
+        try:
+            future.set_result(call())
+        except Exception as exc:  # noqa: BLE001 - handed back like a pool would
+            future.set_exception(exc)
+        futures.append(future)
+    return futures
+
+
+#: Requests the frontend refuses, one per kind of refusal.
+ERROR_REQUESTS = [
+    {"action": "teleport"},
+    {},
+    "not an object",
+    {"action": "search"},
+    {"action": "viewProduct", "id": "NOSUCHTHING"},
+    {"action": "addToCart", "user_id": "u1", "product_id": "OLJCESPC7Z", "quantity": 0},
+    {"action": "checkout", "user_id": "nobody", "currency": "EUR", "card_number": CARD,
+     "address": ADDRESS},
+]
+
+
+def traffic_dump(shop: LocalHarness) -> list[str]:
+    """Drive 40 seeded preset workflows and the error requests through ``shop``.
+
+    Returns one JSON line per request body, response or error, frontend
+    envelope, and event (without its timestamp), in the order they occur.
+    """
+    dump = []
+    forward = shop.transport
+
+    def transport(url, doc):
+        dump.append(json.dumps(["request", url, doc]))
+        try:
+            response = forward(url, doc)
+        except TransportCallError as exc:
+            dump.append(json.dumps(["error", exc.status, exc.body]))
+            raise
+        dump.append(json.dumps(["response", response]))
+        return response
+
+    shop.transport = transport
+    specs = loadgen.draw_workflow_sequence(loadgen.WORKFLOW_PRESETS, 40, seed=16)
+    for index, spec in enumerate(specs):
+        rng, state = random.Random(index), {}
+        for action in spec.steps:
+            envelope = shop.frontend(loadgen.build_action(action, state, rng))
+            dump.append(json.dumps(["frontend", spec.name, envelope]))
+            loadgen._update_state(action, envelope.get("payload"), state)
+    for payload in ERROR_REQUESTS:
+        dump.append(json.dumps(["frontend", "error", shop.frontend(payload)]))
+    for fn in shop.app.function_names:
+        for line in shop.lines[fn]:
+            event = json.loads(line)
+            del event["ts_us"]
+            dump.append(json.dumps(["event", event]))
+    return dump
+
+
+#: sha256 of the traffic dump, recorded before the webshop states each rule
+#: once; every request body, response and event must stay byte-identical.
+TRAFFIC_DIGEST = "33a6830590ab5ecdcc91d3d4ff6268011301f055e1cadb18a1e3a21daa5131fd"
+
+
+def test_traffic_on_the_wire_is_pinned(monkeypatch):
+    monkeypatch.setattr(tracing, "_id_rng", random.Random(16))
+    monkeypatch.setattr(httpjson, "fan_out", _sequential_fan_out)
+    dump = traffic_dump(LocalHarness())
+    assert sum(line.startswith('["frontend", "error"') for line in dump) == len(ERROR_REQUESTS)
+    digest = hashlib.sha256("\n".join(dump).encode()).hexdigest()
+    assert digest == TRAFFIC_DIGEST
