@@ -35,10 +35,6 @@ class DeploymentArtifact:
     endpoint_map: Mapping[str, str]
     env: Mapping[str, str]
 
-    @property
-    def endpoint(self) -> str:
-        return self.endpoint_map[self.fn]
-
     def to_doc(self) -> dict:
         return {
             "fn": self.fn,
@@ -78,31 +74,52 @@ def function_endpoint(host_url: str, name: str) -> str:
     return host_url.rstrip("/") + FUNCTION_PATH.format(name=name)
 
 
-def platform_host_url(platform_id: str, entry: Mapping, index: int) -> str:
+def platform_host_url(entry: Mapping, index: int) -> str:
     """Base URL of a platform from its config entry.
 
-    Attached platforms carry an explicit admin endpoint; managed ones use
-    their configured host/port, falling back to a deterministic default
-    port so compilation never depends on runtime state.
+    Attached platforms carry an explicit admin endpoint; managed ones listen
+    on 127.0.0.1 at their configured port, falling back to a deterministic
+    default port so compilation never depends on runtime state.
     """
     if "admin_endpoint" in entry:
         return str(entry["admin_endpoint"]).rstrip("/")
-    host = entry.get("host", "127.0.0.1")
-    port = entry.get("port") or DEFAULT_PORT_BASE + index
-    return f"http://{host}:{port}"
+    return f"http://127.0.0.1:{entry.get('port') or DEFAULT_PORT_BASE + index}"
 
 
-def validate(function_names: Sequence[str], config: Mapping) -> list[str]:
+def read_service(value) -> str | float:
+    """Read one external-service entry: the URL of a service to link, or the
+    query delay in ms of a KV service to start (``"managed"``, or
+    ``{"managed": true}`` with an optional ``"query_delay_ms"``).
+
+    Raises ValueError for any other form.
+    """
+    if isinstance(value, str) and value.startswith("http"):
+        return value
+    if value == "managed":
+        return 0.0
+    if (isinstance(value, Mapping) and value.get("managed") is True
+            and set(value) <= {"managed", "query_delay_ms"}):
+        delay = value.get("query_delay_ms", 0)
+        if type(delay) not in (int, float) or not 0 <= delay < float("inf"):
+            raise ValueError(f"query_delay_ms must be a number >= 0, not {delay!r}")
+        return float(delay)
+    raise ValueError(
+        f'needs a URL, "managed" or {{"managed": true, "query_delay_ms": ...}}, not {value!r}')
+
+
+def validate(function_names: Sequence[str] | None, config: Mapping) -> list[str]:
     """Check a deployment config; return the full list of violations.
 
     Verifies global name uniqueness, a total function->platform mapping,
     and that every referenced platform and external service resolves.
-    Never fail-fast: callers get everything that is wrong at once.
+    Without ``function_names`` (an unknown application) the config's
+    function names are not checked against the application's. Never
+    fail-fast: callers get everything that is wrong at once.
     """
     violations: list[str] = []
 
     seen: set[str] = set()
-    for name in function_names:
+    for name in function_names or ():
         if name in seen:
             violations.append(f"duplicate name: {name}")
         seen.add(name)
@@ -120,7 +137,7 @@ def validate(function_names: Sequence[str], config: Mapping) -> list[str]:
         if name not in functions:
             violations.append(f"missing mapping: {name}")
     for name, entry in functions.items():
-        if name not in seen:
+        if function_names is not None and name not in seen:
             violations.append(f"unknown function in config: {name}")
         entry = entry or {}
         if not isinstance(entry, Mapping):
@@ -145,14 +162,10 @@ def validate(function_names: Sequence[str], config: Mapping) -> list[str]:
         violations.append("config 'external_services' must be a mapping")
         services = {}
     for service, value in services.items():
-        if isinstance(value, str):
-            if value != "managed" and not value.startswith("http"):
-                violations.append(f"external service {service}: not a URL or 'managed'")
-        elif isinstance(value, Mapping):
-            if not value.get("managed") and "endpoint" not in value:
-                violations.append(f"external service {service}: needs endpoint or managed=true")
-        else:
-            violations.append(f"external service {service}: unrecognized entry")
+        try:
+            read_service(value)
+        except ValueError as exc:
+            violations.append(f"external service {service}: {exc}")
 
     return violations
 
@@ -171,11 +184,8 @@ def compile_deployment(app: Application, config: Mapping) -> list[DeploymentArti
         raise ValidationFailure(violations)
 
     platforms = config["platforms"]
-    platform_order = {pid: i for i, pid in enumerate(platforms)}
-    host_urls = {
-        pid: platform_host_url(pid, entry, platform_order[pid])
-        for pid, entry in platforms.items()
-    }
+    host_urls = {pid: platform_host_url(entry, index)
+                 for index, (pid, entry) in enumerate(platforms.items())}
 
     endpoint_map = {
         name: function_endpoint(host_urls[config["functions"][name]["platform"]], name)
@@ -184,10 +194,8 @@ def compile_deployment(app: Application, config: Mapping) -> list[DeploymentArti
 
     service_env: dict[str, str] = {}
     for service, value in (config.get("external_services") or {}).items():
-        if isinstance(value, str):
-            service_env[service.upper()] = value
-        else:
-            service_env[service.upper()] = value.get("endpoint", "managed")
+        target = read_service(value)
+        service_env[service.upper()] = target if isinstance(target, str) else "managed"
 
     artifacts = []
     for name in app.function_names:

@@ -134,8 +134,6 @@ PROFILE_PRESETS: dict[str, LoadProfile] = {
 
 def profile_from_config(value) -> LoadProfile:
     """Resolve a config entry: preset name or inline phase list."""
-    if isinstance(value, LoadProfile):
-        return value
     if isinstance(value, str):
         if value not in PROFILE_PRESETS:
             raise ValueError(f"unknown load profile preset: {value!r}")

@@ -2,21 +2,21 @@
 
 One experiment runs through fixed phases: check the whole config,
 provision managed external services and platforms, compile and deploy
-every artifact, drive the load profile, collect logs from every platform,
-undo every provisioning step, and write the joint results bundle. A bad
-config fails the check before anything is started.
+every artifact, drive the load profile, collect logs, undo every
+provisioning step, and write the results bundle (laid out by
+:mod:`befaas.bundle`). A bad config fails the check before anything is
+started.
 
 The platform contract is per function (deploy, fetch logs, remove), as
-real providers' admin APIs are. The manager fans out each phase's admin
-calls through :func:`befaas.httpjson.fan_out` and reads the answers in
-call order, so the audit trail and the events do not depend on which call
-finished first. Each provisioning step records how to undo itself in an
-undo group on one stack: a started service or platform is a group of one,
-and the deploy phase pushes one group that removes every deployed
-function. The stack is unwound newest first, each group's steps fanned
-out, also when a phase fails mid-way. The bundle is written once, after
-the undo, so its audit trail is complete and a failed write leaves
-nothing running. :mod:`befaas.bundle` owns the bundle's layout.
+real providers' admin APIs are. Each phase fans out its admin calls
+through :func:`befaas.httpjson.fan_out` and reads the answers in call
+order, so the audit trail and the events do not depend on which call
+finished first. Each provisioning step pushes its undo as a group onto
+one stack: a started service or platform is a group of one, the deploy
+phase's group removes every deployed function. The stack is unwound
+newest first, also after a failed phase. The bundle is written once,
+after the undo, so its trail is complete and a failed write leaves
+nothing running.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import Callable
 from . import httpjson, loadgen, registry
 from .bundle import ResultsBundle
 from .clock import now_us
-from .compiler import Application, compile_deployment, validate
+from .compiler import Application, compile_deployment, read_service, validate
 from .errors import (
     BefaasError,
     RuntimeFailure,
@@ -50,26 +50,6 @@ class ExperimentPlan:
     profile: object | None = None  # name or inline doc; overrides the config
     seed: int | None = None
     config_bytes: bytes | None = None
-
-    @property
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        return int(self.config.get("seed", 0))
-
-    def resolved_profile(self) -> loadgen.LoadProfile:
-        value = self.profile if self.profile is not None else self.config.get("load_profile")
-        if value is None:
-            raise ValidationFailure(["no load profile given (config or plan)"])
-        return loadgen.profile_from_config(value)
-
-    def resolved_workflows(self) -> tuple[WorkflowSpec, ...]:
-        entries = self.config.get("workflows")
-        if not entries:
-            return loadgen.WORKFLOW_PRESETS
-        return tuple(
-            WorkflowSpec(e["name"], float(e["weight"]), tuple(e["steps"])) for e in entries
-        )
 
     def snapshot_bytes(self) -> bytes:
         if self.config_bytes is not None:
@@ -97,18 +77,12 @@ class _Audit:
 def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
     """Execute one experiment end to end and write its results bundle.
 
-    Phases: check, provision, deploy, run, collect, undo, bundle. Raises
-    ValidationFailure before anything is provisioned, RuntimeFailure when
-    a later phase failed (collect, undo and bundle still done, the bundle
-    holding the records of the workflows that finished), and
-    TeardownIncomplete when resources could not be destroyed.
-
-    Deploy, collect and each undo group issue their admin calls
-    concurrently, one per function. Their audit entries and events keep
-    the artifact and function order, and the undo is audited per function,
-    newest first. A failed deploy does not stop the others: every artifact
-    is attempted, the deployed ones join the deploy phase's undo group, and
-    the first failure in artifact order is the run's error.
+    Raises ValidationFailure before anything is provisioned, RuntimeFailure
+    when a later phase failed (collect, undo and bundle still done, the
+    bundle holding the records of the workflows that finished), and
+    TeardownIncomplete when resources could not be destroyed. Every
+    artifact's deploy is attempted; the first failure in artifact order is
+    the run's error.
     """
     config = plan.config
     app, profile, workflows, platform_profiles, seed = _check(plan)
@@ -131,17 +105,15 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
             resolved = dict(config, platforms=dict(config["platforms"]),
                             external_services=dict(config.get("external_services") or {}))
             for service, value in resolved["external_services"].items():
-                managed = value == "managed" or (isinstance(value, dict) and value.get("managed"))
-                if managed:
-                    delay = (float(value.get("query_delay_ms", 0)) if isinstance(value, dict)
-                             else 0.0)
-                    kv = KVService(query_delay_ms=delay)
-                    endpoint = kv.start()
-                    undo.append([("stop_service", service, kv.stop)])
-                    resolved["external_services"][service] = endpoint
-                    audit.add("provision", "start_service", service, detail=endpoint)
-                else:
+                target = read_service(value)
+                if isinstance(target, str):
                     audit.add("provision", "link_service", service)
+                    continue
+                kv = KVService(query_delay_ms=target)
+                endpoint = kv.start()
+                undo.append([("stop_service", service, kv.stop)])
+                resolved["external_services"][service] = endpoint
+                audit.add("provision", "start_service", service, detail=endpoint)
 
             for index, (pid, entry) in enumerate(config["platforms"].items()):
                 if "admin_endpoint" in entry:
@@ -245,23 +217,27 @@ def _check(plan: ExperimentPlan) -> tuple[
         try:
             return make()
         except ValidationFailure as exc:
-            violations.extend(exc.violations)
+            violations.extend(f"{what}: {violation}" for violation in exc.violations)
         except (BefaasError, LookupError, TypeError, ValueError) as exc:
             violations.append(f"{what}: {exc}")
         return None
 
     app = resolve("app", lambda: registry.get_app(config.get("app", "webshop")))
-    if app is not None:
-        violations += validate(app.function_names, config)
-    profile = resolve("load profile", plan.resolved_profile)
-    workflows = resolve("workflows", plan.resolved_workflows)
+    violations += validate(app.function_names if app else None, config)
+    profile_entry = plan.profile if plan.profile is not None else config.get("load_profile")
+    profile = resolve("load profile", lambda: loadgen.profile_from_config(profile_entry))
+    entries = config.get("workflows")
+    workflows = resolve("workflows", lambda: tuple(
+        WorkflowSpec(e["name"], float(e["weight"]), tuple(e["steps"])) for e in entries
+    )) if entries else loadgen.WORKFLOW_PRESETS
     platforms = config.get("platforms")
     platform_profiles = {
         pid: resolve(f"platform {pid}", lambda entry=entry: profile_from_config(entry["profile"]))
         for pid, entry in (platforms.items() if isinstance(platforms, dict) else ())
         if isinstance(entry, dict) and "profile" in entry and "admin_endpoint" not in entry
     }
-    seed = resolve("seed", lambda: plan.resolved_seed)
+    seed = plan.seed if plan.seed is not None else resolve(
+        "seed", lambda: int(config.get("seed", 0)))
     if violations:
         raise ValidationFailure(violations)
     return app, profile, workflows, platform_profiles, seed

@@ -19,16 +19,17 @@ import math
 import random
 import selectors
 import socket
+import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import httpjson, registry
 from .clock import now_us, precise_sleep_ms
 from .compiler import DeploymentArtifact, function_endpoint
-from .errors import ConfigurationError, ThrottleError, TransportCallError
+from .errors import ConfigurationError, ThrottleError, TransportCallError, ValidationFailure
 from .tracing import HandlerRuntime, envelope_status
 
 # ---------------------------------------------------------------------------
@@ -108,22 +109,27 @@ PROFILE_PRESETS: dict[str, PlatformProfile] = {
 
 
 def profile_from_config(value) -> PlatformProfile:
-    """Resolve a config entry: preset name or inline field dict."""
-    if isinstance(value, PlatformProfile):
-        return value
+    """Resolve a config entry: preset name or inline field dict.
+
+    Raises ValidationFailure naming each field an inline dict has that
+    :class:`PlatformProfile` lacks.
+    """
     if isinstance(value, str):
         if value not in PROFILE_PRESETS:
             raise ConfigurationError(f"unknown platform profile preset: {value!r}")
         return PROFILE_PRESETS[value]
     if isinstance(value, dict):
+        unknown = sorted(set(value) - {f.name for f in fields(PlatformProfile)})
+        if unknown:
+            raise ValidationFailure([f"unknown profile field: {name!r}" for name in unknown])
         idle = value.get("executor_idle_timeout_s")
         max_executors = value.get("max_executors")
         return PlatformProfile(
             name=value.get("name", "custom"),
             cold_start_delay_ms=DelaySpec.parse(value.get("cold_start_delay_ms", 0)),
             invoke_overhead_ms=float(value.get("invoke_overhead_ms", 0)),
-            executor_idle_timeout_s=math.inf if idle in (None, "inf") else float(idle),
-            max_executors=None if max_executors in (None, "unbounded") else int(max_executors),
+            executor_idle_timeout_s=math.inf if idle is None else float(idle),
+            max_executors=None if max_executors is None else int(max_executors),
             queue_policy=value.get("queue_policy", "scale_up"),
             network_delay_ms=DelaySpec.parse(value.get("network_delay_ms", 0)),
             clock_skew_ms=float(value.get("clock_skew_ms", 0)),
@@ -470,6 +476,11 @@ class _JSONServer(ThreadingHTTPServer):
         with self.connections_lock:
             self.connections.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that left before its reply (a timed-out call) is no server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def _serve(self) -> None:
         with selectors.DefaultSelector() as selector:

@@ -5,6 +5,7 @@ import pytest
 from befaas.compiler import (
     compile_deployment,
     function_endpoint,
+    read_service,
     validate,
 )
 from befaas.errors import ValidationFailure
@@ -16,7 +17,7 @@ APP = build_app()
 def single_platform_config(**overrides):
     config = {
         "functions": {fn: {"platform": "a"} for fn in APP.function_names},
-        "platforms": {"a": {"profile": "scaler", "host": "127.0.0.1", "port": 9001}},
+        "platforms": {"a": {"profile": "scaler", "port": 9001}},
         "external_services": {"kv": "http://127.0.0.1:9900/kv"},
         "load_profile": "default-60s",
         "seed": 1,
@@ -27,7 +28,7 @@ def single_platform_config(**overrides):
 
 def split_config():
     config = single_platform_config()
-    config["platforms"]["b"] = {"profile": "queuer", "host": "127.0.0.1", "port": 9002}
+    config["platforms"]["b"] = {"profile": "queuer", "port": 9002}
     for fn in APP.function_names:
         if fn != "frontend":
             config["functions"][fn] = {"platform": "b"}
@@ -62,9 +63,35 @@ class TestValidate:
         assert len(violations) >= 2
 
     def test_bad_external_service_entry(self):
-        config = single_platform_config(external_services={"kv": 42})
-        violations = validate(APP.function_names, config)
-        assert any("kv" in v for v in violations)
+        for entry in [
+            42, "ftp://127.0.0.1/kv", "unmanaged", {"endpoint": "http://127.0.0.1:9900/kv"},
+            {"managed": False}, {"managed": True, "query_delay_ms": -1},
+            {"managed": True, "query_delay_ms": "x"}, {"managed": True, "query_delay_ms": True},
+            {"managed": True, "query_delay_ms": float("inf")}, {"managed": True, "delay": 1},
+        ]:
+            config = single_platform_config(external_services={"kv": entry})
+            violations = validate(APP.function_names, config)
+            assert len(violations) == 1, entry
+            assert violations[0].startswith("external service kv: "), entry
+
+    @pytest.mark.parametrize("entry, target", [
+        ("http://127.0.0.1:9900/kv", "http://127.0.0.1:9900/kv"), ("managed", 0.0),
+        ({"managed": True}, 0.0), ({"managed": True, "query_delay_ms": 8}, 8.0),
+        ({"managed": True, "query_delay_ms": 0.5}, 0.5),
+    ])
+    def test_service_entry_is_a_url_or_a_query_delay(self, entry, target):
+        assert read_service(entry) == target
+        assert validate(APP.function_names, single_platform_config(
+            external_services={"kv": entry})) == []
+
+    def test_unknown_app_checks_everything_but_the_names(self):
+        config = single_platform_config(external_services={"kv": "unmanaged"})
+        config["functions"]["extra"] = {"platform": "ghost"}
+        assert validate(None, config) == [
+            "function extra references unknown platform: ghost",
+            "external service kv: needs a URL, \"managed\" or "
+            "{\"managed\": true, \"query_delay_ms\": ...}, not 'unmanaged'",
+        ]
 
 
 class TestCompile:
@@ -87,6 +114,11 @@ class TestCompile:
         artifacts = compile_deployment(APP, single_platform_config())
         for artifact in artifacts:
             assert artifact.env["KV"] == "http://127.0.0.1:9900/kv"
+
+    def test_managed_service_gets_a_placeholder(self):
+        config = single_platform_config(
+            external_services={"kv": {"managed": True, "query_delay_ms": 8}})
+        assert {a.env["KV"] for a in compile_deployment(APP, config)} == {"managed"}
 
     def test_env_overrides_per_function(self):
         config = single_platform_config()

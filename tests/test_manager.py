@@ -46,7 +46,7 @@ def test_mini_run_produces_complete_bundle(tmp_path):
         assert os.path.exists(os.path.join(out, name))
 
     # Config snapshot is byte-identical to the plan's input bytes.
-    assert open(os.path.join(out, "config.json"), "rb").read() == plan.snapshot_bytes()
+    assert (tmp_path / "bundle" / "config.json").read_bytes() == plan.snapshot_bytes()
 
     # 8 workflows at 2/s over 4 s; every record's context appears in the logs.
     assert bundle.audit["scheduled_workflows"] == 8
@@ -123,11 +123,7 @@ def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
     try:
         resolved = json.loads(json.dumps(config))
         resolved["external_services"]["kv"] = kv.endpoint
-        resolved["platforms"]["a"] = {
-            "admin_endpoint": platform.base_url,
-            "host": "127.0.0.1",
-            "port": platform._port,
-        }
+        resolved["platforms"]["a"] = {"admin_endpoint": platform.base_url}
         client = AdminClient(platform.base_url)
         artifacts = compile_deployment(APP, resolved)
         for artifact in artifacts:
@@ -291,6 +287,14 @@ BAD_CONFIGS = {
     "missing mapping": lambda c: c["functions"].pop("email"),
     "unknown workflow step": lambda c: c.update(
         workflows=[{"name": "typo", "weight": 1, "steps": ["home", "viewProdcut"]}]),
+    "negative query delay": lambda c: c["external_services"].update(
+        slow={"managed": True, "query_delay_ms": -1}),
+    "non-numeric query delay": lambda c: c["external_services"].update(
+        typo={"managed": True, "query_delay_ms": "x"}),
+    "endpoint service form": lambda c: c["external_services"].update(
+        linked={"endpoint": "http://127.0.0.1:9900/kv"}),
+    "unknown profile field": lambda c: c["platforms"].update(
+        b={"profile": dict(FAST_PROFILE, queue_polcy="queue_when_busy")}),
 }
 
 
@@ -311,7 +315,7 @@ def test_check_reports_every_bad_entry_at_once(tmp_path, constructions):
     with pytest.raises(ValidationFailure) as err:
         run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
     # The unknown app hides the missing mapping: there is no function list.
-    assert len(err.value.violations) == 4
+    assert len(err.value.violations) == len(BAD_CONFIGS) - 1
     assert constructions == {"SimPlatform": 0, "KVService": 0}
 
 
@@ -349,8 +353,10 @@ def test_federated_run_annotates_platforms(tmp_path):
 
 
 def test_profile_and_seed_overrides(tmp_path):
-    plan = ExperimentPlan(config=make_config(), out_dir=str(tmp_path / "o"), seed=99)
-    assert plan.resolved_seed == 99
-    plan2 = ExperimentPlan(config=make_config(), out_dir="", profile="default-60s")
-    assert plan2.resolved_profile().name == "default-60s"
-    assert plan2.resolved_workflows()[0].name == "browser"
+    *_, seed = manager._check(
+        ExperimentPlan(config=make_config(), out_dir=str(tmp_path / "o"), seed=99))
+    assert seed == 99
+    _, profile, workflows, _, _ = manager._check(
+        ExperimentPlan(config=make_config(), out_dir="", profile="default-60s"))
+    assert profile.name == "default-60s"
+    assert workflows[0].name == "browser"

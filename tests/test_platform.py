@@ -538,6 +538,21 @@ def test_timed_out_request_is_not_sent_again(make_platform):
     assert len(starts) == 2
 
 
+def test_a_client_gone_before_its_reply_prints_no_traceback(make_platform, capfd):
+    platform = make_platform()
+    platform.deploy_artifact(artifact_for("sleepy", platform))
+    with pytest.raises(TransportError):
+        invoke(platform, "sleepy", {"sleep_s": 0.3}, timeout=0.1)
+    time.sleep(0.5)  # the server writes its reply to the closed connection meanwhile
+    assert "Traceback" not in capfd.readouterr().err
+    # Any other error in a handler thread is still reported.
+    try:
+        raise ValueError("not a connection error")
+    except ValueError:
+        platform._server.handle_error(None, ("127.0.0.1", 0))
+    assert "ValueError: not a connection error" in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("server", ["platform", "kv"])
 def test_stop_returns_at_once_and_closes_the_serve_loop(make_platform, make_kv, server):
     if server == "platform":

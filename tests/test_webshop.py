@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import statistics
 from concurrent.futures import Future
 from decimal import Decimal
 
@@ -351,7 +352,11 @@ def test_every_traced_edge_is_in_the_static_graph(actions, seed):
 
 
 def test_compute_ms_is_spent_once_in_every_function():
-    shop = LocalHarness(env_extra={"COMPUTE_MS": "3"})
+    # The host may not run this process for a few ms at any moment: a lone
+    # precise_sleep_ms(3), with the cyclic GC off, overshoots by 3 ms or
+    # more about once in 1,000 calls. That only adds time, so every share
+    # must reach COMPUTE_MS, while the upper bound holds for each function's
+    # median over three rounds: spending COMPUTE_MS twice raises them all.
     product_id = "OLJCESPC7Z"
     requests = [
         {"action": "home"},
@@ -366,14 +371,18 @@ def test_compute_ms_is_spent_once_in_every_function():
         {"action": "emptyCart", "user_id": "u1"},
     ]
     assert {r["action"] for r in requests} == loadgen.ACTIONS
-    for request in requests:
-        ok_payload(shop.frontend(request))
-
-    trees = analyzer.assemble(shop.events())
-    assert {span.fn for tree in trees for span in tree.spans} == set(shop.app.function_names)
-    for tree in trees:
-        for share in analyzer.decompose(tree).per_span:
-            assert 3_000 <= share.compute_us < 6_000, (share.span.fn, share.compute_us)
+    shares: dict[str, list[int]] = {}
+    for _ in range(3):
+        shop = LocalHarness(env_extra={"COMPUTE_MS": "3"})
+        for request in requests:
+            ok_payload(shop.frontend(request))
+        for tree in analyzer.assemble(shop.events()):
+            for share in analyzer.decompose(tree).per_span:
+                shares.setdefault(share.span.fn, []).append(share.compute_us)
+    assert set(shares) == set(shop.app.function_names)
+    for fn, values in shares.items():
+        assert min(values) >= 3_000, (fn, values)
+        assert statistics.median(values) < 6_000, (fn, values)
 
 
 def _sequential_fan_out(calls):
