@@ -26,7 +26,7 @@ platform.start()
 
 config = {
     "functions": {fn: {"platform": "a"} for fn in app.function_names},
-    "platforms": {"a": {"admin_endpoint": platform.base_url, "port": platform._port}},
+    "platforms": {"a": {"admin_endpoint": platform.base_url}},
     "external_services": {"kv": kv.endpoint},
 }
 artifacts = compile_deployment(app, config)

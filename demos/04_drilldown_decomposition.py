@@ -35,7 +35,7 @@ config = {
         fn: {"platform": "a", "env": {"COMPUTE_MS": str(COMPUTE_MS)}}
         for fn in app.function_names
     },
-    "platforms": {"a": {"admin_endpoint": platform.base_url, "port": platform._port}},
+    "platforms": {"a": {"admin_endpoint": platform.base_url}},
     "external_services": {"kv": kv.endpoint},
 }
 artifacts = compile_deployment(app, config)

@@ -40,7 +40,7 @@ for preset in ("scaler", "queuer"):
     platform.start()
     config = {
         "functions": {fn: {"platform": "a"} for fn in app.function_names},
-        "platforms": {"a": {"admin_endpoint": platform.base_url, "port": platform._port}},
+        "platforms": {"a": {"admin_endpoint": platform.base_url}},
         "external_services": {"kv": "http://127.0.0.1:1/kv"},
     }
     artifacts = {a.fn: a for a in compile_deployment(app, config)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_origin, get_type_hints
 
 from .errors import ValidationFailure
 
@@ -36,23 +36,23 @@ class DeploymentArtifact:
     env: Mapping[str, str]
 
     def to_doc(self) -> dict:
-        return {
-            "fn": self.fn,
-            "app": self.app,
-            "platform_id": self.platform_id,
-            "endpoint_map": dict(self.endpoint_map),
-            "env": dict(self.env),
-        }
+        return {name: dict(value) if isinstance(value, Mapping) else value
+                for name, value in vars(self).items()}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "DeploymentArtifact":
-        return cls(
-            fn=doc["fn"],
-            app=doc["app"],
-            platform_id=doc["platform_id"],
-            endpoint_map=dict(doc["endpoint_map"]),
-            env=dict(doc["env"]),
-        )
+        """Read an artifact document; raise ValueError naming every field
+        that is missing or not of its declared type."""
+        bad = [name for name, kind in _ARTIFACT_TYPES.items()
+               if not isinstance(doc.get(name), kind)]
+        if bad:
+            raise ValueError(f"bad artifact fields: {', '.join(bad)}")
+        return cls(**{name: doc[name] for name in _ARTIFACT_TYPES})
+
+
+#: The runtime type of each artifact field, read from its annotation once.
+_ARTIFACT_TYPES = {name: get_origin(hint) or hint
+                   for name, hint in get_type_hints(DeploymentArtifact).items()}
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def platform_host_url(entry: Mapping, index: int) -> str:
     default port so compilation never depends on runtime state.
     """
     if "admin_endpoint" in entry:
-        return str(entry["admin_endpoint"]).rstrip("/")
+        return entry["admin_endpoint"].rstrip("/")
     return f"http://127.0.0.1:{entry.get('port') or DEFAULT_PORT_BASE + index}"
 
 
@@ -111,7 +111,8 @@ def validate(function_names: Sequence[str] | None, config: Mapping) -> list[str]
     """Check a deployment config; return the full list of violations.
 
     Verifies global name uniqueness, a total function->platform mapping,
-    and that every referenced platform and external service resolves.
+    the form of every platform entry, and that every referenced platform
+    and external service resolves.
     Without ``function_names`` (an unknown application) the config's
     function names are not checked against the application's. Never
     fail-fast: callers get everything that is wrong at once.
@@ -152,10 +153,9 @@ def validate(function_names: Sequence[str] | None, config: Mapping) -> list[str]
             violations.append(f"function {name}: env must be an object")
 
     for platform_id, entry in platforms.items():
-        if not isinstance(entry, Mapping) or ("profile" not in entry and "admin_endpoint" not in entry):
-            violations.append(f"platform {platform_id} needs 'profile' or 'admin_endpoint'")
-        elif not isinstance(entry.get("port", 0), int):
-            violations.append(f"platform {platform_id}: port must be an integer")
+        problem = _platform_problem(entry)
+        if problem:
+            violations.append(f"platform {platform_id}: {problem}")
 
     services = config.get("external_services") or {}
     if not isinstance(services, Mapping):
@@ -168,6 +168,28 @@ def validate(function_names: Sequence[str] | None, config: Mapping) -> list[str]
             violations.append(f"external service {service}: {exc}")
 
     return violations
+
+
+def _platform_problem(entry) -> str | None:
+    """What is wrong with one platform entry, if anything."""
+    if not isinstance(entry, Mapping):
+        return f"entry must be an object, not {entry!r}"
+    unknown = sorted(set(entry) - {"admin_endpoint", "profile", "port"})
+    if unknown:
+        return f"unknown key: {', '.join(map(repr, unknown))}"
+    if "admin_endpoint" in entry:
+        url = entry["admin_endpoint"]
+        if len(entry) > 1:
+            return "an 'admin_endpoint' entry takes no 'profile' or 'port'"
+        if not (isinstance(url, str) and url.startswith("http://")):
+            return f"admin_endpoint must be an http URL, not {url!r}"
+        return None
+    if "profile" not in entry:
+        return "needs 'profile' or 'admin_endpoint'"
+    port = entry.get("port", 0)
+    if type(port) is not int or not 0 <= port <= 65535:
+        return f"port must be an integer in [0, 65535], not {port!r}"
+    return None
 
 
 def compile_deployment(app: Application, config: Mapping) -> list[DeploymentArtifact]:

@@ -7,6 +7,13 @@ caller's wrapper), so they live in one place.
 from __future__ import annotations
 
 
+def error_body(message: str, kind: str) -> dict:
+    """The body of every error answer. A platform answers kind ``client``
+    with 400, 404 or 409, ``server`` with 500, ``unreachable`` with 404 and
+    ``throttle`` with 429."""
+    return {"error": {"message": message, "kind": kind}}
+
+
 class BefaasError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -41,15 +48,18 @@ class TransportError(BefaasError):
 
 
 class TransportCallError(BefaasError):
-    """A non-2xx HTTP response. Carries status code and decoded body."""
+    """A non-2xx HTTP response, or a body that is not a JSON object. Reads
+    the body's error as ``message`` and ``kind``; a body without one reads
+    as kind ``server``, with the exception's own text as message."""
 
     def __init__(self, status: int, body: dict):
-        message = "unknown error"
-        if isinstance(body, dict):
-            message = body.get("error", {}).get("message", message)
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
         self.body = body if isinstance(body, dict) else {}
+        error = self.body.get("error")
+        error = error if isinstance(error, dict) else {}
+        super().__init__(f"HTTP {status}: {error.get('message', 'unknown error')}")
+        self.status = status
+        self.message = error.get("message", str(self))
+        self.kind = error.get("kind", "server")
 
 
 class ThrottleError(BefaasError):

@@ -20,7 +20,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 from urllib.parse import urlsplit
 
-from .errors import TransportCallError, TransportError
+from .errors import TransportCallError, TransportError, error_body
 
 DEFAULT_TIMEOUT_S = 30.0
 
@@ -126,7 +126,7 @@ def _decode(status: int, data: bytes, url: str) -> dict:
     if not isinstance(doc, dict):
         # Every exchange is a JSON object; anything else is a broken server,
         # even under a 2xx status.
-        doc = {"error": {"message": f"non-object JSON response from {url}", "kind": "server"}}
+        doc = error_body(f"non-object JSON response from {url}", "server")
     elif 200 <= status < 300:
         return doc
     raise TransportCallError(status, doc)

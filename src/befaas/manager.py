@@ -110,10 +110,10 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
                     audit.add("provision", "link_service", service)
                     continue
                 kv = KVService(query_delay_ms=target)
-                endpoint = kv.start()
+                kv.start()
                 undo.append([("stop_service", service, kv.stop)])
-                resolved["external_services"][service] = endpoint
-                audit.add("provision", "start_service", service, detail=endpoint)
+                resolved["external_services"][service] = kv.endpoint
+                audit.add("provision", "start_service", service, detail=kv.endpoint)
 
             for index, (pid, entry) in enumerate(config["platforms"].items()):
                 if "admin_endpoint" in entry:
@@ -122,7 +122,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
                     audit.add("provision", "attach_platform", pid)
                 else:
                     platform = SimPlatform(pid, platform_profiles[pid],
-                                           port=int(entry.get("port", 0)), seed=seed + index)
+                                           port=entry.get("port", 0), seed=seed + index)
                     platform.start()
                     undo.append([("stop_platform", pid, platform.stop)])
                     client = AdminClient(platform.base_url)
@@ -236,8 +236,9 @@ def _check(plan: ExperimentPlan) -> tuple[
         for pid, entry in (platforms.items() if isinstance(platforms, dict) else ())
         if isinstance(entry, dict) and "profile" in entry and "admin_endpoint" not in entry
     }
-    seed = plan.seed if plan.seed is not None else resolve(
-        "seed", lambda: int(config.get("seed", 0)))
+    seed = config.get("seed", 0) if plan.seed is None else plan.seed
+    if type(seed) is not int:
+        violations.append(f"seed: must be an integer, not {seed!r}")
     if violations:
         raise ValidationFailure(violations)
     return app, profile, workflows, platform_profiles, seed

@@ -23,13 +23,14 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import httpjson, registry
 from .clock import now_us, precise_sleep_ms
 from .compiler import DeploymentArtifact, function_endpoint
-from .errors import ConfigurationError, ThrottleError, TransportCallError, ValidationFailure
+from .errors import (ConfigurationError, ThrottleError, TransportCallError, ValidationFailure,
+                     error_body)
 from .tracing import HandlerRuntime, envelope_status
 
 # ---------------------------------------------------------------------------
@@ -66,12 +67,12 @@ class PlatformProfile:
     """Tunable behavior of one simulated platform."""
 
     name: str = "custom"
-    cold_start_delay_ms: DelaySpec = field(default_factory=lambda: DelaySpec(0.0))
+    cold_start_delay_ms: DelaySpec = DelaySpec(0.0)
     invoke_overhead_ms: float = 0.0
     executor_idle_timeout_s: float = math.inf
     max_executors: int | None = None
     queue_policy: str = "scale_up"
-    network_delay_ms: DelaySpec = field(default_factory=lambda: DelaySpec(0.0))
+    network_delay_ms: DelaySpec = DelaySpec(0.0)
     clock_skew_ms: float = 0.0
 
     def __post_init__(self):
@@ -108,32 +109,31 @@ PROFILE_PRESETS: dict[str, PlatformProfile] = {
 }
 
 
+#: How a config value is read into a profile field of each declared type.
+_READ_FIELD = {"str": lambda value: value, "float": float, "int | None": int,
+               "DelaySpec": DelaySpec.parse}
+
+
 def profile_from_config(value) -> PlatformProfile:
     """Resolve a config entry: preset name or inline field dict.
 
-    Raises ValidationFailure naming each field an inline dict has that
-    :class:`PlatformProfile` lacks.
+    An inline dict sets any of :class:`PlatformProfile`'s fields, each read
+    by its declared type. A field that is absent or ``null`` keeps its
+    default, so ``null`` is "no limit" for ``executor_idle_timeout_s`` and
+    ``max_executors``. Raises ValidationFailure naming each field the dict
+    has that the profile lacks.
     """
     if isinstance(value, str):
         if value not in PROFILE_PRESETS:
             raise ConfigurationError(f"unknown platform profile preset: {value!r}")
         return PROFILE_PRESETS[value]
     if isinstance(value, dict):
-        unknown = sorted(set(value) - {f.name for f in fields(PlatformProfile)})
+        types = {f.name: f.type for f in fields(PlatformProfile)}
+        unknown = sorted(set(value) - set(types))
         if unknown:
             raise ValidationFailure([f"unknown profile field: {name!r}" for name in unknown])
-        idle = value.get("executor_idle_timeout_s")
-        max_executors = value.get("max_executors")
-        return PlatformProfile(
-            name=value.get("name", "custom"),
-            cold_start_delay_ms=DelaySpec.parse(value.get("cold_start_delay_ms", 0)),
-            invoke_overhead_ms=float(value.get("invoke_overhead_ms", 0)),
-            executor_idle_timeout_s=math.inf if idle is None else float(idle),
-            max_executors=None if max_executors is None else int(max_executors),
-            queue_policy=value.get("queue_policy", "scale_up"),
-            network_delay_ms=DelaySpec.parse(value.get("network_delay_ms", 0)),
-            clock_skew_ms=float(value.get("clock_skew_ms", 0)),
-        )
+        return PlatformProfile(**{name: _READ_FIELD[types[name]](given)
+                                  for name, given in value.items() if given is not None})
     raise ConfigurationError(f"unrecognized profile entry: {value!r}")
 
 
@@ -246,48 +246,55 @@ class FunctionHost:
 # ---------------------------------------------------------------------------
 
 
-class SimPlatform:
+class _Served:
+    """The lifecycle the platform and the KV service share: :meth:`start`
+    serves ``route(method, path, doc) -> (status, doc)`` on 127.0.0.1 at the
+    given port (0: a free one), :meth:`stop` closes the server, and
+    ``base_url`` is its address."""
+
+    def __init__(self, name: str, port: int = 0):
+        self._name = name
+        self._port = port
+        self._server: _JSONServer | None = None
+
+    def start(self) -> str:
+        """Serve, unless already serving; return the base URL."""
+        if self._server is None:
+            self._server = _JSONServer(self._port, self.route, self._name)
+            self._port = self._server.server_address[1]
+        return self.base_url
+
+    def stop(self) -> None:
+        """Close the server. Idempotent."""
+        if self._server is not None:
+            self._server.stop()
+            self._server = None
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self._port}"
+
+
+class SimPlatform(_Served):
     """One simulated FaaS platform: function hosting plus admin API."""
 
-    def __init__(
-        self,
-        platform_id: str,
-        profile: PlatformProfile,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        seed: int = 0,
-    ):
+    def __init__(self, platform_id: str, profile: PlatformProfile, port: int = 0, seed: int = 0):
+        super().__init__(f"platform-{platform_id}", port)
         self.platform_id = platform_id
         self.profile = profile
-        self._host = host
-        self._port = port
         # The host of each function's latest deployment, kept after removal
         # so its logs and counters stay readable until the next deploy.
         self.deployments: dict[str, FunctionHost] = {}
         self._admin_lock = threading.Lock()
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
-        self._server: _JSONServer | None = None
         skew_us = int(profile.clock_skew_ms * 1000)
         self.clock_us = (lambda: now_us() + skew_us) if skew_us else now_us
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> str:
-        if self._server is None:
-            self._server = _serve(self._host, self._port, self.route, f"platform-{self.platform_id}")
-            self._port = self._server.server_address[1]
-        return self.base_url
 
     def stop(self) -> None:
         """Remove every function, then close the server. Idempotent."""
         self.teardown()
-        _close(self._server)
-        self._server = None
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self._host}:{self._port}"
+        super().stop()
 
     def _sample_ms(self, spec: DelaySpec) -> float:
         if spec.constant_ms is not None:
@@ -303,10 +310,6 @@ class SimPlatform:
         mistyped artifact field, or an unknown app or function, raises
         ``ValueError``; a function already deployed and not removed raises
         ``ConfigurationError``."""
-        fields = {"fn": str, "app": str, "platform_id": str, "endpoint_map": dict, "env": dict}
-        bad = [f for f, kind in fields.items() if not isinstance(doc.get(f), kind)]
-        if bad:
-            raise ValueError(f"bad artifact fields: {', '.join(bad)}")
         artifact = DeploymentArtifact.from_doc(doc)
         try:
             handler = registry.get_app(artifact.app).handlers.get(artifact.fn)
@@ -396,29 +399,29 @@ class SimPlatform:
             if method == "GET" and path.startswith("/admin/logs/"):
                 return 200, {"lines": self.fetch_logs(path[len("/admin/logs/"):])}
         except ConfigurationError as exc:
-            return 409 if path == "/admin/deploy" else 404, _client_error(str(exc))
+            return 409 if path == "/admin/deploy" else 404, error_body(str(exc), "client")
         except ValueError as exc:
-            return 400, _client_error(str(exc))
+            return 400, error_body(str(exc), "client")
         if method == "GET" and path == "/admin/stats":
             return 200, self.stats()
         if method == "GET" and path == "/admin/ping":
             return 200, {"platform": self.platform_id}
-        return 404, _client_error(f"no route: {path}")
+        return 404, error_body(f"no route: {path}", "client")
 
     # -- invocation ------------------------------------------------------------
 
     def handle_invoke(self, fn: str, request: dict) -> tuple[int, dict]:
         host = self._live_host(fn)
         if host is None:
-            return 404, {"error": {"message": f"no such function: {fn}", "kind": "unreachable"}}
+            return 404, error_body(f"no such function: {fn}", "unreachable")
 
         precise_sleep_ms(self.profile.invoke_overhead_ms)
         try:
             executor, cold = host.claim()
         except ThrottleError as exc:
-            return 429, {"error": {"message": str(exc), "kind": "throttle"}}
+            return 429, error_body(str(exc), "throttle")
         except ConfigurationError as exc:
-            return 404, {"error": {"message": str(exc), "kind": "unreachable"}}
+            return 404, error_body(str(exc), "unreachable")
 
         try:
             if cold:
@@ -440,17 +443,13 @@ class SimPlatform:
         return envelope_status(envelope), envelope
 
 
-def _client_error(message: str) -> dict:
-    return {"error": {"message": message, "kind": "client"}}
-
-
 class _JSONServer(ThreadingHTTPServer):
     """Serves ``route(method, path, doc) -> (status, doc)`` over HTTP.
 
     Its loop selects on the listening socket and on one end of a socket
-    pair; :func:`_close` writes a byte to the other end, so a stop wakes
+    pair; :meth:`stop` writes a byte to the other end, so a stop wakes
     the loop at once instead of waiting out ``serve_forever``'s 0.5 s poll.
-    It keeps the socket of every open connection, so that :func:`_close`
+    It keeps the socket of every open connection, so that :meth:`stop`
     can also shut the keep-alive connections clients still hold.
     """
 
@@ -459,13 +458,14 @@ class _JSONServer(ThreadingHTTPServer):
     # backlog of 5 would push the overflow into 1 s SYN retransmits.
     request_queue_size = 128
 
-    def __init__(self, addr, route, name: str):
-        super().__init__(addr, _JSONHandler)
+    def __init__(self, port: int, route, name: str):
+        super().__init__(("127.0.0.1", port), _JSONHandler)
         self.route = route
         self.wake_r, self.wake_w = socket.socketpair()
         self.thread = threading.Thread(target=self._serve, name=name, daemon=True)
         self.connections: set[socket.socket] = set()
         self.connections_lock = threading.Lock()
+        self.thread.start()
 
     def process_request(self, request, client_address) -> None:
         with self.connections_lock:
@@ -492,6 +492,22 @@ class _JSONServer(ThreadingHTTPServer):
                     return
                 self._handle_request_noblock()
 
+    def stop(self) -> None:
+        self.wake_w.send(b"\0")
+        self.thread.join()
+        self.server_close()
+        # A handler thread waiting for the next request on a keep-alive
+        # connection reads end of file, answers nothing more and ends.
+        with self.connections_lock:
+            connections = list(self.connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the handler closed it meanwhile
+                pass
+        self.wake_r.close()
+        self.wake_w.close()
+
 
 class _JSONHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -501,13 +517,19 @@ class _JSONHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep benchmark output clean
         pass
 
+    def finish(self) -> None:
+        # The inbound connection has ended, and with it this thread: close
+        # the connections its functions opened to other functions and services.
+        httpjson.close_thread_connections()
+        super().finish()
+
     def _handle(self) -> None:
         # Always drain the body first: an unread body desyncs keep-alive,
         # and a body of unknown length cannot be drained, so it closes.
         header = self.headers.get("Content-Length", "0")
         if not header.isdecimal():
             self.close_connection = True
-            self._respond(400, _client_error(f"bad Content-Length: {header!r}"))
+            self._respond(400, error_body(f"bad Content-Length: {header!r}", "client"))
             return
         length = int(header)
         body = self.rfile.read(length) if length else b"{}"
@@ -516,7 +538,7 @@ class _JSONHandler(BaseHTTPRequestHandler):
         except ValueError:
             doc = None
         if not isinstance(doc, dict):
-            self._respond(400, _client_error("request body is not a JSON object"))
+            self._respond(400, error_body("request body is not a JSON object", "client"))
             return
         self._respond(*self.server.route(self.command, self.path, doc))
 
@@ -533,30 +555,6 @@ class _JSONHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-def _serve(host: str, port: int, route, name: str) -> _JSONServer:
-    server = _JSONServer((host, port), route, name)
-    server.thread.start()
-    return server
-
-
-def _close(server: _JSONServer | None) -> None:
-    if server is not None:
-        server.wake_w.send(b"\0")
-        server.thread.join()
-        server.server_close()
-        # A handler thread waiting for the next request on a keep-alive
-        # connection reads end of file, answers nothing more and ends.
-        with server.connections_lock:
-            connections = list(server.connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:  # the handler closed it meanwhile
-                pass
-        server.wake_r.close()
-        server.wake_w.close()
-
-
 # ---------------------------------------------------------------------------
 # Simulated key-value service
 # ---------------------------------------------------------------------------
@@ -571,12 +569,12 @@ def apply_kv(store: dict, request: dict) -> tuple[int, dict]:
     op = request.get("op")
     key = request.get("key")
     if op not in ("get", "set", "delete") or not isinstance(key, str):
-        return 400, _client_error(f"bad kv request: {request}")
+        return 400, error_body(f"bad kv request: {request}", "client")
     if op == "get":
         return 200, {"found": key in store, "value": store.get(key)}
     if op == "set":
         if "value" not in request:
-            return 400, _client_error("set requires a value")
+            return 400, error_body("set requires a value", "client")
         store[key] = request["value"]
         return 200, {"ok": True}
     existed = key in store
@@ -584,36 +582,24 @@ def apply_kv(store: dict, request: dict) -> tuple[int, dict]:
     return 200, {"ok": True, "existed": existed}
 
 
-class KVService:
+class KVService(_Served):
     """Single-node key-value store over HTTP with injected query latency.
 
     Operations are serialized under one lock (linearizable by
     construction); each request sleeps ``query_delay_ms`` per direction.
     """
 
-    def __init__(self, query_delay_ms: float = 0.0, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, query_delay_ms: float = 0.0):
         if query_delay_ms < 0:
             raise ValueError("query_delay_ms must be >= 0")
+        super().__init__("kv-service")
         self.query_delay_ms = query_delay_ms
-        self._host = host
-        self._port = port
         self._store: dict[str, object] = {}
         self._lock = threading.Lock()
-        self._server: _JSONServer | None = None
-
-    def start(self) -> str:
-        if self._server is None:
-            self._server = _serve(self._host, self._port, self.route, "kv-service")
-            self._port = self._server.server_address[1]
-        return self.endpoint
-
-    def stop(self) -> None:
-        _close(self._server)
-        self._server = None
 
     @property
     def endpoint(self) -> str:
-        return f"http://{self._host}:{self._port}/kv"
+        return f"{self.base_url}/kv"
 
     def handle(self, request: dict) -> tuple[int, dict]:
         precise_sleep_ms(self.query_delay_ms)
@@ -628,7 +614,7 @@ class KVService:
             return self.handle(doc)
         if method == "GET" and path == "/ping":
             return 200, {"ok": True}
-        return 404, _client_error(f"no route: {path}")
+        return 404, error_body(f"no route: {path}", "client")
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +643,7 @@ class AdminClient:
         lines = httpjson.get_json(url, self.timeout).get("lines")
         if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
             message = f"no list of lines in the log answer from {url}"
-            raise TransportCallError(200, {"error": {"message": message, "kind": "server"}})
+            raise TransportCallError(200, error_body(message, "server"))
         return lines
 
     def remove(self, fn: str) -> None:

@@ -35,6 +35,7 @@ from .errors import (
     ThrottleError,
     TransportCallError,
     TransportError,
+    error_body,
 )
 
 # ---------------------------------------------------------------------------
@@ -257,14 +258,11 @@ class CallContext:
         try:
             response = self._round_trip("call", target, call_pair_id, endpoint, request)
         except TransportCallError as exc:
-            err = exc.body.get("error", {})
             if exc.status == 429:
                 raise ThrottleError(f"{target} throttled the call") from exc
-            if err.get("kind") == "unreachable":
-                raise TransportError(f"{target} unreachable: {err.get('message')}") from exc
-            raise CalleeError(
-                target, err.get("message", str(exc)), err.get("kind", "server")
-            ) from exc
+            if exc.kind == "unreachable":
+                raise TransportError(f"{target} unreachable: {exc.message}") from exc
+            raise CalleeError(target, exc.message, exc.kind) from exc
         return response.get("payload")
 
     def call_parallel(self, calls: list[tuple[str, Any]]) -> list[Any]:
@@ -329,15 +327,11 @@ def wrap_handler(business_logic: Callable[[Any, CallContext], Any]):
             kind = exc.kind if isinstance(exc, (BusinessError, CalleeError)) else "server"
             known = (BusinessError, CalleeError, TransportError, ThrottleError, ConfigurationError)
             message = str(exc) if isinstance(exc, known) else f"{type(exc).__name__}: {exc}"
-            return _error_envelope(context_id, message, kind)
+            return {ENVELOPE_KEY: {"ctx": context_id}, **error_body(message, kind)}
         ctx._event("invocation_end")
         return {ENVELOPE_KEY: {"ctx": context_id}, "payload": result}
 
     return handler
-
-
-def _error_envelope(context_id: str, message: str, kind: str) -> dict:
-    return {ENVELOPE_KEY: {"ctx": context_id}, "error": {"message": message, "kind": kind}}
 
 
 def envelope_status(envelope: dict) -> int:

@@ -170,7 +170,7 @@ def test_criterion_3_decomposition_recovery(tmp_path):
                     for fn in APP.function_names
                 },
                 "platforms": {
-                    "a": {"admin_endpoint": platform.base_url, "port": platform._port}
+                    "a": {"admin_endpoint": platform.base_url}
                 },
                 "external_services": {"kv": kv.endpoint},
             }
@@ -244,7 +244,7 @@ def test_criterion_4_cold_start_detection():
             config = {
                 "functions": {fn: {"platform": "a"} for fn in APP.function_names},
                 "platforms": {
-                    "a": {"admin_endpoint": platform.base_url, "port": platform._port}
+                    "a": {"admin_endpoint": platform.base_url}
                 },
                 "external_services": {"kv": "http://127.0.0.1:1/kv"},
             }
@@ -341,8 +341,8 @@ def test_criterion_6_skew_robustness():
                     for fn in APP.function_names
                 },
                 "platforms": {
-                    "a": {"admin_endpoint": platform_a.base_url, "port": platform_a._port},
-                    "b": {"admin_endpoint": platform_b.base_url, "port": platform_b._port},
+                    "a": {"admin_endpoint": platform_a.base_url},
+                    "b": {"admin_endpoint": platform_b.base_url},
                 },
                 "external_services": {"kv": kv.endpoint},
             }

@@ -185,6 +185,12 @@ MISTYPED = {
         kv={"managed": True, "query_delay_ms": "x"}),
     "profile field": lambda c: c["platforms"]["a"]["profile"].update(
         queue_polcy="queue_when_busy"),
+    "platform key": lambda c: c["platforms"]["a"].update(prot=7100),
+    "admin_endpoint": lambda c: c["platforms"].update(b={"admin_endpoint": 5}),
+    "admin_endpoint with port": lambda c: c["platforms"].update(
+        a={"admin_endpoint": "http://127.0.0.1:1", "port": 7100}),
+    "boolean port": lambda c: c["platforms"]["a"].update(port=True),
+    "port out of range": lambda c: c["platforms"]["a"].update(port=-1),
 }
 
 

@@ -141,8 +141,9 @@ def test_garbage_log_line_lands_in_rejects(tmp_path, make_platform):
         kv.stop()
 
 
-def collect_beside_broken(make_platform, monkeypatch, answer):
-    """Collect from a live platform "a" and one "b" that answers ``answer``."""
+def collect_beside_broken(make_platform, monkeypatch, answer, status=200):
+    """Collect from a live platform "a" and one "b" that answers ``answer``
+    with ``status``."""
     platform = make_platform(platform_id="alive", profile=FAST_PROFILE)
     from test_platform import artifact_for
 
@@ -154,9 +155,10 @@ def collect_beside_broken(make_platform, monkeypatch, answer):
 
     # The "broken" platform answers every admin request with ``answer``.
     broken = "http://127.0.0.1:1/broken"
-    real_get = httpjson.get_json
-    monkeypatch.setattr(httpjson, "get_json", lambda url, timeout=60.0: (
-        dict(answer) if url.startswith(broken) else real_get(url, timeout)))
+    real_exchange = httpjson._exchange
+    monkeypatch.setattr(httpjson, "_exchange", lambda method, url, body, timeout: (
+        (status, json.dumps(answer).encode()) if url.startswith(broken)
+        else real_exchange(method, url, body, timeout)))
     events, rejects, errors = collect_logs(
         {"a": AdminClient(platform.base_url), "b": AdminClient(broken)},
         {"a": ["sleepy"], "b": ["ghost"]},
@@ -170,6 +172,13 @@ def collect_beside_broken(make_platform, monkeypatch, answer):
 def test_log_answer_without_lines_recorded_others_collected(make_platform, monkeypatch, answer):
     rejects, errors = collect_beside_broken(make_platform, monkeypatch, answer)
     assert "no list of lines" in errors["b"]
+    assert rejects == []
+
+
+@pytest.mark.parametrize("answer", [{"error": "boom"}, {"error": None}])
+def test_foreign_error_answer_recorded_others_collected(make_platform, monkeypatch, answer):
+    rejects, errors = collect_beside_broken(make_platform, monkeypatch, answer, status=404)
+    assert errors["b"] == "HTTP 404: unknown error"
     assert rejects == []
 
 
@@ -295,6 +304,19 @@ BAD_CONFIGS = {
         linked={"endpoint": "http://127.0.0.1:9900/kv"}),
     "unknown profile field": lambda c: c["platforms"].update(
         b={"profile": dict(FAST_PROFILE, queue_polcy="queue_when_busy")}),
+    "platform host key": lambda c: c["platforms"].update(
+        c={"profile": "scaler", "host": "127.0.0.1"}),
+    "mistyped platform key": lambda c: c["platforms"].update(d={"profile": "scaler", "prot": 1}),
+    "admin endpoint not a URL": lambda c: c["platforms"].update(e={"admin_endpoint": 5}),
+    "admin endpoint with a profile": lambda c: c["platforms"].update(
+        f={"admin_endpoint": "http://127.0.0.1:1", "profile": "scaler"}),
+    "admin endpoint with a port": lambda c: c["platforms"].update(
+        g={"admin_endpoint": "http://127.0.0.1:1", "port": 7100}),
+    "boolean port": lambda c: c["platforms"].update(h={"profile": "scaler", "port": True}),
+    "port out of range": lambda c: c["platforms"].update(i={"profile": "scaler", "port": 65536}),
+    "fractional seed": lambda c: c.update(seed=1.5),
+    "boolean seed": lambda c: c.update(seed=True),
+    "string seed": lambda c: c.update(seed="7"),
 }
 
 
@@ -302,8 +324,9 @@ BAD_CONFIGS = {
 def test_bad_config_fails_before_anything_is_constructed(tmp_path, constructions, name):
     config = make_config()
     BAD_CONFIGS[name](config)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure) as err:
         run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
+    assert len(err.value.violations) == 1, err.value.violations
     assert constructions == {"SimPlatform": 0, "KVService": 0}
     assert not (tmp_path / "x").exists()
 
@@ -315,7 +338,8 @@ def test_check_reports_every_bad_entry_at_once(tmp_path, constructions):
     with pytest.raises(ValidationFailure) as err:
         run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
     # The unknown app hides the missing mapping: there is no function list.
-    assert len(err.value.violations) == len(BAD_CONFIGS) - 1
+    # The three seed rows overwrite one another.
+    assert len(err.value.violations) == len(BAD_CONFIGS) - 3
     assert constructions == {"SimPlatform": 0, "KVService": 0}
 
 

@@ -1,7 +1,10 @@
+import gc
 import json
+import math
 import socket
 import threading
 import time
+import warnings
 from urllib.parse import urlsplit
 
 import pytest
@@ -255,6 +258,16 @@ def test_route_contract(make_platform, make_kv, server, method, path, body, stat
         assert doc["error"]["message"] == f"no route: {path}"
 
 
+def test_artifact_document_round_trips():
+    artifact = DeploymentArtifact(fn="f", app="a", platform_id="p",
+                                  endpoint_map={"f": "http://h/fn/f"}, env={"K": "v"})
+    assert artifact.to_doc() == {"fn": "f", "app": "a", "platform_id": "p",
+                                 "endpoint_map": {"f": "http://h/fn/f"}, "env": {"K": "v"}}
+    assert DeploymentArtifact.from_doc(artifact.to_doc()) == artifact
+    with pytest.raises(ValueError, match="^bad artifact fields: app, env$"):
+        DeploymentArtifact.from_doc(dict(artifact.to_doc(), app=1, env=[]))
+
+
 def test_non_integer_content_length_is_400_and_closes(make_platform):
     url = urlsplit(make_platform().base_url)
     with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
@@ -482,6 +495,25 @@ class TestProfiles:
         with pytest.raises(ValueError):
             DelaySpec.parse(-3)
 
+    def test_inline_profile_reads_each_field_by_its_type(self):
+        profile = profile_from_config({
+            "name": "x", "cold_start_delay_ms": 5, "invoke_overhead_ms": 1,
+            "executor_idle_timeout_s": 2, "max_executors": "3",
+            "queue_policy": "queue_when_busy",
+            "network_delay_ms": {"dist": "lognormal", "mu": 1, "sigma": 0.5},
+            "clock_skew_ms": 4,
+        })
+        assert profile == PlatformProfile(
+            "x", DelaySpec(5.0), 1.0, 2.0, 3, "queue_when_busy", DelaySpec(mu=1.0, sigma=0.5), 4.0)
+        assert [type(v) for v in (profile.invoke_overhead_ms, profile.executor_idle_timeout_s,
+                                  profile.max_executors, profile.clock_skew_ms)] == [
+            float, float, int, float]
+
+    def test_absent_or_null_profile_field_keeps_its_default(self):
+        profile = profile_from_config({"executor_idle_timeout_s": None, "max_executors": None})
+        assert profile == profile_from_config({}) == PlatformProfile()
+        assert (profile.executor_idle_timeout_s, profile.max_executors) == (math.inf, None)
+
     def test_lognormal_delay_sampling_is_seeded(self):
         import random
 
@@ -592,3 +624,29 @@ def test_stop_closes_the_keep_alive_connections_clients_hold(make_platform, make
         assert not thread.is_alive()
     with pytest.raises(TransportError):
         httpjson.post_json(url, doc, timeout=2.0)
+
+
+def test_handler_threads_close_the_connections_their_functions_opened(make_platform, make_kv):
+    kv, platform = make_kv(), make_platform()
+    config = {
+        "functions": {fn: {"platform": "sim"} for fn in APP.function_names},
+        "platforms": {"sim": {"admin_endpoint": platform.base_url}},
+        "external_services": {"kv": kv.endpoint},
+    }
+    for artifact in compile_deployment(APP, config):
+        platform.deploy_artifact(artifact.to_doc())
+    before = set(threading.enumerate())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        # frontend -> getcart -> cartkvstorage -> KV: three outgoing connections
+        invoke(platform, "frontend", {"action": "viewCart", "user_id": "u1"})
+        handlers = [t for t in set(threading.enumerate()) - before
+                    if t.name.endswith("(process_request_thread)")]
+        httpjson.close_thread_connections()
+        platform.stop()
+        kv.stop()
+        for thread in handlers:
+            thread.join(timeout=5.0)
+        gc.collect()
+    assert len(handlers) == 4 and not any(thread.is_alive() for thread in handlers)
+    assert [str(w.message) for w in caught if "unclosed <socket" in str(w.message)] == []

@@ -256,6 +256,21 @@ class TestCallFunction:
         assert sum(1 for e in ends if e.get("error")) == 2
         assert threading.active_count() == baseline
 
+    @pytest.mark.parametrize("body", [{"error": "boom"}, {"error": None}, {}, []])
+    def test_foreign_error_body_reads_as_a_server_error(self, body):
+        def transport(url, doc):
+            raise TransportCallError(502, body)
+
+        lines = []
+        runtime = make_runtime(lines=lines, transport=transport,
+                               endpoint_map={"callee": "http://x/fn/callee"})
+        envelope = wrap_handler(lambda payload, ctx: ctx.call("callee", {}))(
+            {"payload": {}}, runtime)
+        assert envelope["error"] == {
+            "message": "call to callee failed: HTTP 502: unknown error", "kind": "server"}
+        ends = [e for e in events_of(lines) if e["event_kind"] == "call_end"]
+        assert len(ends) == 1 and ends[0]["error"]
+
     def test_empty_parallel_block(self):
         outcome, lines = self.run_block(lambda url, doc: {"payload": None}, [])
         assert outcome["result"] == []
