@@ -35,6 +35,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
+from .bundle import CALL_KINDS, INVOCATION_KINDS
+
 # ---------------------------------------------------------------------------
 # Spans and call trees
 # ---------------------------------------------------------------------------
@@ -112,9 +114,6 @@ class CallTree:
         return "" if self.root is None else sig(self.root)
 
 
-_INVOCATION_KINDS = frozenset(("invocation_start", "invocation_end", "cold_start"))
-_CALL_KINDS = frozenset(("call_start", "call_end", "external_start", "external_end"))
-
 # A compact row holds the fields of one event that assembly reads. Its
 # first five fields identify the event for deduplication.
 _KIND, _TS, _FN, _PAIR, _CALL_PAIR, _TARGET, _EXECUTOR, _PLATFORM, _ERROR = range(9)
@@ -176,7 +175,7 @@ def _spill(events: Iterable[Mapping], partitions: dict[str, IO[bytes]]) -> None:
         rows = chunk.get(context_id)
         if rows is None:
             rows = chunk[intern(context_id, context_id)] = []
-        if kind in _INVOCATION_KINDS or kind in _CALL_KINDS:
+        if kind in INVOCATION_KINDS or kind in CALL_KINDS:
             call_pair_id, target = event.get("call_pair_id"), event.get("target")
             executor_id, platform = event.get("executor_id", ""), event.get("platform", "")
             rows.append((
@@ -243,7 +242,7 @@ def _assemble_context(context_id: str, rows: list[tuple]) -> CallTree:
             continue
         seen.add(ident)
         kind, call_pair_id = row[_KIND], row[_CALL_PAIR]
-        if kind in _INVOCATION_KINDS:
+        if kind in INVOCATION_KINDS:
             invocations.setdefault(row[_PAIR], {})[kind] = row
         else:
             key = (row[_PAIR], "" if call_pair_id is None else call_pair_id)
@@ -497,7 +496,7 @@ class ColdStartReport:
 def cold_start_report(trees: Iterable[CallTree]) -> ColdStartReport:
     """Count cold starts per function and split root latencies into trees
     that contain at least one cold start versus warm-only trees."""
-    return _fold(trees, decomposed=False).cold
+    return _fold(trees).cold
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +626,10 @@ class _RunTotals:
 def _fold(
     trees: Iterable[CallTree],
     each: Callable[[CallTree, tuple[int, ...] | None, bool], None] | None = None,
-    decomposed: bool = True,
 ) -> _RunTotals:
     """Read ``trees`` once into the run's totals; pass each tree, its
     end-to-end and component sums (None without a root) and whether its
-    breakdown was flagged to ``each``. Without ``decomposed``, no tree is
-    decomposed and ``components`` stays empty."""
+    breakdown was flagged to ``each``."""
     totals = _RunTotals()
     counts = totals.cold.counts_by_fn
     for tree in trees:
@@ -648,12 +645,11 @@ def _fold(
             latencies = totals.cold.cold_tree_latencies_us if tree_cold \
                 else totals.cold.warm_tree_latencies_us
             latencies.append(tree.root.duration_us)
-            if decomposed:
-                b = decompose(tree)
-                sums = (tree.root.duration_us, b.compute_us, b.network_us, b.query_us)
-                flagged = b.flagged
-                for values, value in zip(totals.components, sums):
-                    values.append(value)
+            b = decompose(tree)
+            sums = (tree.root.duration_us, b.compute_us, b.network_us, b.query_us)
+            flagged = b.flagged
+            for values, value in zip(totals.components, sums):
+                values.append(value)
         if each is not None:
             each(tree, sums, flagged)
     return totals

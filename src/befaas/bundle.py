@@ -9,16 +9,79 @@ straight into analysis:
     rejects.log             raw lines that failed to parse
     audit.json              metadata plus the provisioning/teardown trail
 
-This module is the one that knows the layout. It imports nothing of the
-runtime, so that ``befaas analyze`` and ``befaas report`` stay lean.
+This module is the one that knows the layout, and the one statement of
+an event line: :class:`LogEvent` declares the fields that tracing writes,
+that :func:`parse_event_line` checks and that analysis reads. It imports
+nothing of the runtime, so that ``befaas analyze`` and ``befaas report``
+stay lean.
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import os
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from dataclasses import MISSING, dataclass, fields
+from typing import IO, Iterable, Iterator, get_args, get_type_hints
+
+#: The kinds of event an invocation records about itself, and about each
+#: of its outgoing function and external-service calls.
+INVOCATION_KINDS = frozenset({"invocation_start", "invocation_end", "cold_start"})
+CALL_KINDS = frozenset({"call_start", "call_end", "external_start", "external_end"})
+
+
+@dataclass(frozen=True)
+class LogEvent:
+    """One timestamped record on a function's logging stream.
+
+    Its line is a JSON object with the fields in declaration order; a field
+    that holds its default is left out. The fields without a default are
+    required in a line.
+    """
+
+    event_kind: str
+    ts_us: int
+    fn: str
+    context_id: str
+    pair_id: str
+    executor_id: str | None = None
+    platform: str | None = None
+    call_pair_id: str | None = None
+    target: str | None = None
+    error: bool = False
+
+    def to_line(self) -> str:
+        return json.dumps({name: value for name, value in vars(self).items()
+                           if value is not _EVENT_DEFAULTS[name]}, separators=(",", ":"))
+
+
+#: Each event field's default (MISSING where the field is required) and
+#: its type in a line (the ``str`` of ``str | None``), read once.
+_EVENT_DEFAULTS = {f.name: f.default for f in fields(LogEvent)}
+_EVENT_TYPES = {name: (get_args(hint) or (hint,))[0]
+                for name, hint in get_type_hints(LogEvent).items()}
+_EVENT_KINDS = INVOCATION_KINDS | CALL_KINDS
+
+
+def parse_event_line(line: str) -> dict:
+    """Parse one NDJSON log line into an event dict.
+
+    Unknown fields are kept (consumers ignore what they do not understand);
+    a missing required field, a declared field of another type (``null``
+    included, and a boolean for an integer) or an unknown kind raises
+    ValueError.
+    """
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError("event line is not an object")
+    for name, kind in _EVENT_TYPES.items():
+        if name in doc:
+            if type(doc[name]) is not kind:  # JSON values are of exact types
+                raise ValueError(f"event field {name!r} must be of type {kind.__name__}")
+        elif _EVENT_DEFAULTS[name] is MISSING:
+            raise ValueError(f"event line missing field {name!r}")
+    if doc["event_kind"] not in _EVENT_KINDS:
+        raise ValueError(f"unknown event kind {doc['event_kind']!r}")
+    return doc
 
 
 class NdjsonFile:

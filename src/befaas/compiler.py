@@ -119,11 +119,11 @@ def validate(function_names: Sequence[str] | None, config: Mapping) -> list[str]
     """
     violations: list[str] = []
 
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # the application's function order
     for name in function_names or ():
         if name in seen:
             violations.append(f"duplicate name: {name}")
-        seen.add(name)
+        seen[name] = None
 
     functions = config.get("functions")
     if not isinstance(functions, Mapping):

@@ -17,11 +17,11 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import httpjson
 from .clock import now_us
-from .errors import TransportCallError, TransportError
+from .errors import TransportCallError, TransportError, ValidationFailure
 from .tracing import ENVELOPE_KEY
 
 # ---------------------------------------------------------------------------
@@ -133,18 +133,62 @@ PROFILE_PRESETS: dict[str, LoadProfile] = {
 
 
 def profile_from_config(value) -> LoadProfile:
-    """Resolve a config entry: preset name or inline phase list."""
+    """Resolve a config entry: preset name, or an inline profile whose
+    ``phases`` are objects of :class:`Phase`'s fields, read by
+    :func:`_read_entries`."""
     if isinstance(value, str):
         if value not in PROFILE_PRESETS:
             raise ValueError(f"unknown load profile preset: {value!r}")
         return PROFILE_PRESETS[value]
     if isinstance(value, dict) and "phases" in value:
-        phases = tuple(
-            Phase(float(p["duration_s"]), float(p["rate_start"]), float(p["rate_end"]))
-            for p in value["phases"]
-        )
+        phases = _read_entries(Phase, value["phases"], "phase")
         return LoadProfile(value.get("name", "inline"), phases)
     raise ValueError(f"unrecognized load profile: {value!r}")
+
+
+def workflows_from_config(value) -> tuple[WorkflowSpec, ...]:
+    """Resolve a config entry: absent (``None``) means the presets, else
+    objects of :class:`WorkflowSpec`'s fields, read by :func:`_read_entries`."""
+    return WORKFLOW_PRESETS if value is None else _read_entries(WorkflowSpec, value, "workflow")
+
+
+#: How a config value is checked and read into a field of each declared
+#: type: what it must be, the check, the conversion. A number is a JSON
+#: integer or float, never a boolean.
+_READ_FIELD = {
+    "float": ("a number", lambda v: type(v) in (int, float), float),
+    "str": ("a string", lambda v: type(v) is str, str),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: type(v) is list and all(type(s) is str for s in v), tuple),
+}
+
+
+def _read_entries(cls, entries, what: str) -> tuple:
+    """One ``cls`` per object in the non-empty list ``entries``, each field
+    read by its declared type. Raises ValueError for another ``entries``,
+    and ValidationFailure with one line per entry that is not an object and
+    per field that is missing, unknown or mistyped, each naming the
+    ``what`` and its index."""
+    if not (isinstance(entries, list) and entries):
+        raise ValueError(f"{what}s must be a non-empty list, not {entries!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    problems: list[str] = []
+    for index, doc in enumerate(entries):
+        where = f"{what} {index}"
+        if not isinstance(doc, dict):
+            problems.append(f"{where}: must be an object, not {doc!r}")
+            continue
+        problems += [f"{where}: unknown field {name!r}" for name in doc if name not in types]
+        for name, kind in types.items():
+            must_be, check, _ = _READ_FIELD[kind]
+            if name not in doc:
+                problems.append(f"{where}: missing field {name!r}")
+            elif not check(doc[name]):
+                problems.append(f"{where}: {name} must be {must_be}, not {doc[name]!r}")
+    if problems:
+        raise ValidationFailure(problems)
+    return tuple(cls(**{name: _READ_FIELD[types[name]][2](value) for name, value in doc.items()})
+                 for doc in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +368,11 @@ def execute_workflow(
             context_id = None
             try:
                 doc = httpjson.post_json(frontend_endpoint, {"payload": payload}, timeout_s)
-                context_id = (doc.get(ENVELOPE_KEY) or {}).get("ctx")
+                context_id = _context_of(doc)
                 _update_state(action, doc.get("payload"), state)
             except TransportCallError as exc:
                 status = f"error:{exc.status}"
-                context_id = (exc.body.get(ENVELOPE_KEY) or {}).get("ctx")
+                context_id = _context_of(exc.body)
             except TransportError:
                 status = "transport_error"
             records.append(
@@ -349,6 +393,14 @@ def execute_workflow(
         if close_connections:
             httpjson.close_thread_connections()
     return records
+
+
+def _context_of(doc: dict) -> str | None:
+    """The context id of a reply or an error body; a trace envelope that is
+    not an object, or a context that is not a string, reads as none."""
+    token = doc.get(ENVELOPE_KEY)
+    context_id = token.get("ctx") if isinstance(token, dict) else None
+    return context_id if isinstance(context_id, str) else None
 
 
 def draw_workflow_sequence(

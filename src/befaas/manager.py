@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import httpjson, loadgen, registry
-from .bundle import ResultsBundle
+from .bundle import ResultsBundle, parse_event_line
 from .clock import now_us
 from .compiler import Application, compile_deployment, read_service, validate
 from .errors import (
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .loadgen import LoadRunResult, WorkflowSpec
 from .simplatform import AdminClient, KVService, PlatformProfile, SimPlatform, profile_from_config
-from .tracing import parse_event_line
 
 
 @dataclass
@@ -118,7 +117,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultsBundle:
             for index, (pid, entry) in enumerate(config["platforms"].items()):
                 if "admin_endpoint" in entry:
                     client = AdminClient(entry["admin_endpoint"])
-                    client.ping()
+                    httpjson.fan_out([client.ping])[0].result()
                     audit.add("provision", "attach_platform", pid)
                 else:
                     platform = SimPlatform(pid, platform_profiles[pid],
@@ -226,10 +225,7 @@ def _check(plan: ExperimentPlan) -> tuple[
     violations += validate(app.function_names if app else None, config)
     profile_entry = plan.profile if plan.profile is not None else config.get("load_profile")
     profile = resolve("load profile", lambda: loadgen.profile_from_config(profile_entry))
-    entries = config.get("workflows")
-    workflows = resolve("workflows", lambda: tuple(
-        WorkflowSpec(e["name"], float(e["weight"]), tuple(e["steps"])) for e in entries
-    )) if entries else loadgen.WORKFLOW_PRESETS
+    workflows = resolve("workflows", lambda: loadgen.workflows_from_config(config.get("workflows")))
     platforms = config.get("platforms")
     platform_profiles = {
         pid: resolve(f"platform {pid}", lambda entry=entry: profile_from_config(entry["profile"]))

@@ -8,7 +8,8 @@ owns the tracing protocol:
 * a *pair id* is minted by the caller for every outgoing call and becomes
   the callee invocation's own pair id, linking parent and child spans;
 * every activity edge is timestamped and emitted as one NDJSON line on the
-  executor's logging stream;
+  executor's logging stream, in the form :class:`befaas.bundle.LogEvent`
+  declares;
 * cold starts are detected through a marker variable in the executor-local
   environment: absent means fresh executor.
 
@@ -20,13 +21,13 @@ a constant number of bytes per call for a fixed function-name length.
 from __future__ import annotations
 
 import functools
-import json
 import random
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, MutableMapping
 
 from . import httpjson
+from .bundle import LogEvent
 from .clock import now_us
 from .errors import (
     BusinessError,
@@ -48,18 +49,6 @@ COLD_START_MARKER = "EXECUTOR_KEY"
 
 #: Request/response envelope key carrying the trace token.
 ENVELOPE_KEY = "_befaas"
-
-EVENT_KINDS = frozenset(
-    {
-        "invocation_start",
-        "invocation_end",
-        "call_start",
-        "call_end",
-        "external_start",
-        "external_end",
-        "cold_start",
-    }
-)
 
 _id_lock = threading.Lock()
 _id_rng = random.Random()
@@ -87,76 +76,6 @@ def detect_cold_start(env: MutableMapping[str, str]) -> bool:
         return False
     env[COLD_START_MARKER] = new_id()
     return True
-
-
-# ---------------------------------------------------------------------------
-# Log events
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogEvent:
-    """One timestamped record on a function's logging stream."""
-
-    event_kind: str
-    ts_us: int
-    fn: str
-    context_id: str
-    pair_id: str
-    executor_id: str
-    platform: str
-    call_pair_id: str | None = None
-    target: str | None = None
-    error: bool = False
-
-    def to_line(self) -> str:
-        doc: dict[str, Any] = {
-            "event_kind": self.event_kind,
-            "ts_us": self.ts_us,
-            "fn": self.fn,
-            "context_id": self.context_id,
-            "pair_id": self.pair_id,
-            "executor_id": self.executor_id,
-            "platform": self.platform,
-        }
-        if self.call_pair_id is not None:
-            doc["call_pair_id"] = self.call_pair_id
-        if self.target is not None:
-            doc["target"] = self.target
-        if self.error:
-            doc["error"] = True
-        return json.dumps(doc, separators=(",", ":"))
-
-
-#: The required fields of an event line and their types.
-_REQUIRED_EVENT_FIELDS = {"event_kind": str, "ts_us": int, "fn": str, "context_id": str,
-                          "pair_id": str}
-
-#: Optional fields, which must be strings where present.
-_OPTIONAL_EVENT_FIELDS = ("call_pair_id", "target", "executor_id", "platform")
-
-
-def parse_event_line(line: str) -> dict:
-    """Parse one NDJSON log line into an event dict.
-
-    Unknown fields are kept (consumers ignore what they do not understand);
-    a missing required field, a field of the wrong type or an unknown kind
-    raises ValueError.
-    """
-    doc = json.loads(line)
-    if not isinstance(doc, dict):
-        raise ValueError("event line is not an object")
-    for key, kind in _REQUIRED_EVENT_FIELDS.items():
-        if key not in doc:
-            raise ValueError(f"event line missing field {key!r}")
-        if not isinstance(doc[key], kind):
-            raise ValueError(f"event field {key!r} must be of type {kind.__name__}")
-    for key in _OPTIONAL_EVENT_FIELDS:
-        if key in doc and not isinstance(doc[key], str):
-            raise ValueError(f"event field {key!r} must be of type str")
-    if doc["event_kind"] not in EVENT_KINDS:
-        raise ValueError(f"unknown event kind {doc['event_kind']!r}")
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -191,13 +191,21 @@ MISTYPED = {
         a={"admin_endpoint": "http://127.0.0.1:1", "port": 7100}),
     "boolean port": lambda c: c["platforms"]["a"].update(port=True),
     "port out of range": lambda c: c["platforms"]["a"].update(port=-1),
+    "phase duration_s": lambda c: c["load_profile"]["phases"][0].update(duration_s="60"),
+    "phase key": lambda c: c["load_profile"]["phases"][0].update(rate=1),
+    "workflow weight": lambda c: c.update(
+        workflows=[{"name": "w", "weight": "0.5", "steps": ["home"]}]),
+    "workflows object": lambda c: c.update(workflows={"w": {"weight": 1, "steps": ["home"]}}),
 }
+
+# compile reads neither the seed, nor the platform profiles, nor the load side
+RUN_ONLY = {"seed", "profile field", "phase duration_s", "phase key", "workflow weight",
+            "workflows object"}
 
 
 @pytest.mark.parametrize("command, defect", [
     (command, defect) for command in ("compile", "run") for defect in MISTYPED
-    # compile reads neither the seed nor the platform profiles
-    if command == "run" or defect not in ("seed", "profile field")
+    if command == "run" or defect not in RUN_ONLY
 ])
 def test_mistyped_config_entry_is_one_validation_error(config_file, tmp_path, command, defect):
     config = json.loads(Path(config_file).read_text())

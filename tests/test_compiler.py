@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import befaas
 from befaas.compiler import (
     compile_deployment,
     function_endpoint,
@@ -48,6 +53,19 @@ class TestValidate:
         del config["functions"]["email"]
         violations = validate(APP.function_names, config)
         assert any("missing mapping: email" in v for v in violations)
+
+    def test_missing_mappings_follow_the_application_function_order(self):
+        # A fixed hash seed, so that an order taken from a set shows here.
+        script = ("from befaas.compiler import validate\n"
+                  "from befaas.webshop import build_app\n"
+                  "print('\\n'.join(validate(build_app().function_names, {'functions': {},"
+                  " 'platforms': {}})))\n")
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(Path(befaas.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        missing = [line.removeprefix("missing mapping: ") for line in done.stdout.splitlines()
+                   if line.startswith("missing mapping: ")]
+        assert missing == list(APP.function_names)
 
     def test_unknown_platform_reference(self):
         config = single_platform_config()

@@ -1,5 +1,6 @@
 import collections
 import http.server
+import json
 import math
 import random
 import threading
@@ -254,14 +255,15 @@ class TestExecuteWorkflow:
 
 @pytest.fixture
 def raw_frontend():
-    """Start a bare HTTP server that answers every POST with 200 and ``body``."""
+    """Start a bare HTTP server that answers every POST with ``status`` and
+    ``body``."""
     servers = []
 
-    def factory(body: bytes) -> str:
+    def factory(body: bytes, status: int = 200) -> str:
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self.send_response(200)
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -294,6 +296,19 @@ def test_ok_reply_that_is_not_an_object_is_an_error(raw_frontend, body):
 
     records = execute_workflow(SLEEPY_WORKFLOW, endpoint, random.Random(1))
     assert [(r.status, r.context_id) for r in records] == [("error:200", None)] * 3
+
+
+@pytest.mark.parametrize("status, doc", [
+    (200, {"_befaas": "x", "payload": {}}),
+    (200, {"_befaas": {"ctx": 5}, "payload": {}}),
+    (500, {"_befaas": ["x"], "error": {"message": "boom", "kind": "server"}}),
+    (400, {"_befaas": {"ctx": None}, "error": {"message": "bad", "kind": "client"}}),
+])
+def test_malformed_trace_envelope_reads_as_no_context(raw_frontend, status, doc):
+    endpoint = raw_frontend(json.dumps(doc).encode(), status)
+    records = execute_workflow(SLEEPY_WORKFLOW, endpoint, random.Random(1))
+    expected = "ok" if status == 200 else f"error:{status}"
+    assert [(r.status, r.context_id) for r in records] == [(expected, None)] * 3
 
 
 class TestRunProfile:

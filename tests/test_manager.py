@@ -1,11 +1,13 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
-from befaas import analyzer, manager
+from befaas import analyzer, httpjson, manager
 from befaas.bundle import ResultsBundle
+from befaas.compiler import validate
 from befaas.errors import RuntimeFailure, ValidationFailure
 from befaas.manager import ExperimentPlan, collect_logs, run_experiment
 from befaas.simplatform import AdminClient, SimPlatform, profile_from_config
@@ -87,8 +89,11 @@ def test_attached_platform_is_not_stopped_and_reports_zero_deployments(tmp_path,
     platform = make_platform(platform_id="external-a", profile=FAST_PROFILE)
     config = make_config(platforms={"a": {"admin_endpoint": platform.base_url}})
     plan = ExperimentPlan(config=config, out_dir=str(tmp_path / "bundle"))
+    httpjson.close_thread_connections()
     bundle = run_experiment(plan)
     assert bundle.audit["scheduled_workflows"] == 8
+    # Every admin call ran off the calling thread, which caches no connection.
+    assert httpjson._connections() == {}
     # Functions removed from the attached platform, which keeps running.
     assert platform.stats()["deployment_count"] == 0
     assert AdminClient(platform.base_url).ping() == "external-a"
@@ -317,6 +322,24 @@ BAD_CONFIGS = {
     "fractional seed": lambda c: c.update(seed=1.5),
     "boolean seed": lambda c: c.update(seed=True),
     "string seed": lambda c: c.update(seed="7"),
+    "string phase duration": lambda c: c.update(
+        load_profile={"phases": [{"duration_s": "60", "rate_start": 2, "rate_end": 2}]}),
+    "boolean phase duration": lambda c: c.update(
+        load_profile={"phases": [{"duration_s": True, "rate_start": 2, "rate_end": 2}]}),
+    "missing phase duration": lambda c: c.update(
+        load_profile={"phases": [{"rate_start": 2, "rate_end": 2}]}),
+    "unknown phase key": lambda c: c.update(
+        load_profile={"phases": [{"duration_s": 4, "rate_start": 2, "rate_end": 2, "rate": 2}]}),
+    "string workflow weight": lambda c: c.update(
+        workflows=[{"name": "w", "weight": "0.5", "steps": ["home"]}]),
+    "numeric workflow name": lambda c: c.update(
+        workflows=[{"name": 5, "weight": 1, "steps": ["home"]}]),
+    "unknown workflow key": lambda c: c.update(
+        workflows=[{"name": "w", "weight": 1, "steps": ["home"], "think_ms": 0}]),
+    "string workflow steps": lambda c: c.update(
+        workflows=[{"name": "w", "weight": 1, "steps": "home"}]),
+    "workflows object": lambda c: c.update(
+        workflows={"w": {"weight": 1, "steps": ["home"]}}),
 }
 
 
@@ -338,8 +361,9 @@ def test_check_reports_every_bad_entry_at_once(tmp_path, constructions):
     with pytest.raises(ValidationFailure) as err:
         run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
     # The unknown app hides the missing mapping: there is no function list.
-    # The three seed rows overwrite one another.
-    assert len(err.value.violations) == len(BAD_CONFIGS) - 3
+    # Rows that set the same key overwrite one another: the seed (3 rows),
+    # the load profile (5) and the workflows (6).
+    assert len(err.value.violations) == len(BAD_CONFIGS) - 1 - 2 - 4 - 5
     assert constructions == {"SimPlatform": 0, "KVService": 0}
 
 
@@ -374,6 +398,13 @@ def test_federated_run_annotates_platforms(tmp_path):
     for tree in trees:
         platforms = {span.platform for span in tree.spans}
         assert platforms == {"a", "b"}
+
+
+def test_readme_example_config_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert validate(APP.function_names, config) == []
+    manager._check(ExperimentPlan(config=config, out_dir=""))
 
 
 def test_profile_and_seed_overrides(tmp_path):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from befaas.bundle import parse_event_line
 from befaas.errors import BusinessError, CalleeError, ConfigurationError, TransportCallError
 from befaas.tracing import (
     COLD_START_MARKER,
@@ -13,7 +14,6 @@ from befaas.tracing import (
     detect_cold_start,
     envelope_status,
     new_id,
-    parse_event_line,
     wrap_handler,
 )
 
@@ -356,6 +356,10 @@ class TestParseEventLine:
                         "context_id": 5, "pair_id": "p"}),
             json.dumps({"event_kind": "call_start", "ts_us": 1, "fn": "f", "context_id": "c",
                         "pair_id": "p", "target": None}),
+            json.dumps({"event_kind": "invocation_end", "ts_us": 1, "fn": "f", "context_id": "c",
+                        "pair_id": "p", "error": "no"}),
+            json.dumps({"event_kind": "invocation_start", "ts_us": True, "fn": "f",
+                        "context_id": "c", "pair_id": "p"}),
         ],
     )
     def test_rejects_bad_lines(self, line):
