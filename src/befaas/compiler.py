@@ -11,7 +11,7 @@ where either of them landed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence, get_origin, get_type_hints
 
 from .errors import ValidationFailure
@@ -100,11 +100,55 @@ def read_service(value) -> str | float:
     if (isinstance(value, Mapping) and value.get("managed") is True
             and set(value) <= {"managed", "query_delay_ms"}):
         delay = value.get("query_delay_ms", 0)
-        if type(delay) not in (int, float) or not 0 <= delay < float("inf"):
+        if not is_number(delay) or not 0 <= delay < float("inf"):
             raise ValueError(f"query_delay_ms must be a number >= 0, not {delay!r}")
         return float(delay)
     raise ValueError(
         f'needs a URL, "managed" or {{"managed": true, "query_delay_ms": ...}}, not {value!r}')
+
+
+def is_number(value) -> bool:
+    """A number in a JSON document is an integer or a float, never a boolean."""
+    return type(value) in (int, float)
+
+
+#: How a config value is checked and read into a field of each declared
+#: type: what it must be, the check, the conversion.
+READ_FIELD = {
+    "float": ("a number", is_number, float),
+    "str": ("a string", lambda v: type(v) is str, str),
+    "int | None": ("an integer", lambda v: type(v) is int, int),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: type(v) is list and all(type(s) is str for s in v), tuple),
+}
+
+
+def read_object(cls, doc, where: str = "", read_field=READ_FIELD):
+    """Read a ``cls`` from the config object ``doc``, each field checked and
+    read by its declared type's entry in ``read_field``.
+
+    A field without a default is required; one with a default keeps it when
+    absent or ``null``. Raises ValidationFailure with one line, led by
+    ``where``, for a ``doc`` that is not an object and per field that is
+    unknown, missing or of another type.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationFailure([f"{where}must be an object, not {doc!r}"])
+    declared = {f.name: f for f in fields(cls)}
+    problems = [f"{where}unknown field {name!r}" for name in doc if name not in declared]
+    for name, f in declared.items():
+        given = doc.get(name)
+        if given is None and f.default is not MISSING:
+            continue
+        must_be, check, _ = read_field[f.type]
+        if name not in doc:
+            problems.append(f"{where}missing field {name!r}")
+        elif not check(given):
+            problems.append(f"{where}{name} must be {must_be}, not {given!r}")
+    if problems:
+        raise ValidationFailure(problems)
+    return cls(**{name: read_field[declared[name].type][2](given)
+                  for name, given in doc.items() if given is not None})
 
 
 def validate(function_names: Sequence[str] | None, config: Mapping) -> list[str]:

@@ -9,6 +9,13 @@ Python 3.11) a round trip on a fresh connection takes ~0.5 ms, but one on a
 reused connection takes ~44 ms: those servers write the headers and the
 body of a reply separately with Nagle's algorithm on, so the body waits for
 the client's delayed ACK.
+
+A function's calls and KV queries never reuse a connection: each closes
+the calling thread's connections when it ends
+(:meth:`befaas.tracing.CallContext._round_trip`, :func:`fan_out`), so no
+span inside a trace pays the stall. It remains on the connections callers
+keep: the load generator's kept-alive connection to the frontend and the
+admin calls.
 """
 from __future__ import annotations
 

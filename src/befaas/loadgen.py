@@ -17,10 +17,11 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import httpjson
 from .clock import now_us
+from .compiler import READ_FIELD, read_object
 from .errors import TransportCallError, TransportError, ValidationFailure
 from .tracing import ENVELOPE_KEY
 
@@ -133,16 +134,15 @@ PROFILE_PRESETS: dict[str, LoadProfile] = {
 
 
 def profile_from_config(value) -> LoadProfile:
-    """Resolve a config entry: preset name, or an inline profile whose
-    ``phases`` are objects of :class:`Phase`'s fields, read by
-    :func:`_read_entries`."""
+    """Resolve a config entry: preset name, or an inline profile object of
+    a string ``name`` (``"inline"`` if absent) and ``phases``, a non-empty
+    list of objects of :class:`Phase`'s fields."""
     if isinstance(value, str):
         if value not in PROFILE_PRESETS:
             raise ValueError(f"unknown load profile preset: {value!r}")
         return PROFILE_PRESETS[value]
-    if isinstance(value, dict) and "phases" in value:
-        phases = _read_entries(Phase, value["phases"], "phase")
-        return LoadProfile(value.get("name", "inline"), phases)
+    if isinstance(value, dict):
+        return read_object(LoadProfile, {"name": "inline", **value}, read_field=_READ_PROFILE)
     raise ValueError(f"unrecognized load profile: {value!r}")
 
 
@@ -152,43 +152,27 @@ def workflows_from_config(value) -> tuple[WorkflowSpec, ...]:
     return WORKFLOW_PRESETS if value is None else _read_entries(WorkflowSpec, value, "workflow")
 
 
-#: How a config value is checked and read into a field of each declared
-#: type: what it must be, the check, the conversion. A number is a JSON
-#: integer or float, never a boolean.
-_READ_FIELD = {
-    "float": ("a number", lambda v: type(v) in (int, float), float),
-    "str": ("a string", lambda v: type(v) is str, str),
-    "tuple[str, ...]": ("a list of strings",
-                        lambda v: type(v) is list and all(type(s) is str for s in v), tuple),
-}
-
-
 def _read_entries(cls, entries, what: str) -> tuple:
-    """One ``cls`` per object in the non-empty list ``entries``, each field
-    read by its declared type. Raises ValueError for another ``entries``,
-    and ValidationFailure with one line per entry that is not an object and
-    per field that is missing, unknown or mistyped, each naming the
-    ``what`` and its index."""
+    """One ``cls`` per object in the non-empty list ``entries``, each read by
+    :func:`befaas.compiler.read_object`. Raises ValueError for another
+    ``entries``, and ValidationFailure with the lines of every entry, each
+    led by the ``what`` and its index."""
     if not (isinstance(entries, list) and entries):
         raise ValueError(f"{what}s must be a non-empty list, not {entries!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    problems: list[str] = []
+    read, problems = [], []
     for index, doc in enumerate(entries):
-        where = f"{what} {index}"
-        if not isinstance(doc, dict):
-            problems.append(f"{where}: must be an object, not {doc!r}")
-            continue
-        problems += [f"{where}: unknown field {name!r}" for name in doc if name not in types]
-        for name, kind in types.items():
-            must_be, check, _ = _READ_FIELD[kind]
-            if name not in doc:
-                problems.append(f"{where}: missing field {name!r}")
-            elif not check(doc[name]):
-                problems.append(f"{where}: {name} must be {must_be}, not {doc[name]!r}")
+        try:
+            read.append(read_object(cls, doc, f"{what} {index}: "))
+        except ValidationFailure as exc:
+            problems += exc.violations
     if problems:
         raise ValidationFailure(problems)
-    return tuple(cls(**{name: _READ_FIELD[types[name]][2](value) for name, value in doc.items()})
-                 for doc in entries)
+    return tuple(read)
+
+
+#: An inline load profile's phases are read once its own fields check out.
+_READ_PROFILE = {**READ_FIELD, "tuple[Phase, ...]": (
+    "a list", lambda v: type(v) is list, lambda v: _read_entries(Phase, v, "phase"))}
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import httpjson, registry
 from .clock import now_us, precise_sleep_ms
-from .compiler import DeploymentArtifact, function_endpoint
-from .errors import (ConfigurationError, ThrottleError, TransportCallError, ValidationFailure,
-                     error_body)
+from .compiler import READ_FIELD, DeploymentArtifact, function_endpoint, is_number, read_object
+from .errors import ConfigurationError, ThrottleError, TransportCallError, error_body
 from .tracing import HandlerRuntime, envelope_status
 
 # ---------------------------------------------------------------------------
@@ -48,11 +47,14 @@ class DelaySpec:
 
     @classmethod
     def parse(cls, value) -> "DelaySpec":
-        if isinstance(value, (int, float)):
+        """Read a number >= 0 or ``{"dist": "lognormal", "mu": m, "sigma": s}``
+        with numbers ``m`` and ``s``; raise ValueError for anything else."""
+        if is_number(value):
             if value < 0:
                 raise ValueError(f"delay must be >= 0, got {value}")
             return cls(constant_ms=float(value))
-        if isinstance(value, dict) and value.get("dist") == "lognormal":
+        if (isinstance(value, dict) and value.get("dist") == "lognormal"
+                and is_number(value.get("mu")) and is_number(value.get("sigma"))):
             return cls(mu=float(value["mu"]), sigma=float(value["sigma"]))
         raise ValueError(f"unrecognized delay spec: {value!r}")
 
@@ -109,31 +111,26 @@ PROFILE_PRESETS: dict[str, PlatformProfile] = {
 }
 
 
-#: How a config value is read into a profile field of each declared type.
-_READ_FIELD = {"str": lambda value: value, "float": float, "int | None": int,
-               "DelaySpec": DelaySpec.parse}
+#: A delay's number or object is checked in full by :meth:`DelaySpec.parse`.
+_READ_FIELD = {**READ_FIELD, "DelaySpec": (
+    "a number or an object", lambda v: is_number(v) or type(v) is dict, DelaySpec.parse)}
 
 
 def profile_from_config(value) -> PlatformProfile:
     """Resolve a config entry: preset name or inline field dict.
 
-    An inline dict sets any of :class:`PlatformProfile`'s fields, each read
-    by its declared type. A field that is absent or ``null`` keeps its
-    default, so ``null`` is "no limit" for ``executor_idle_timeout_s`` and
-    ``max_executors``. Raises ValidationFailure naming each field the dict
-    has that the profile lacks.
+    An inline dict sets any of :class:`PlatformProfile`'s fields, each
+    checked and read by its declared type by
+    :func:`befaas.compiler.read_object`, never converted from another type.
+    A field that is absent or ``null`` keeps its default, so ``null`` is
+    "no limit" for ``executor_idle_timeout_s`` and ``max_executors``.
     """
     if isinstance(value, str):
         if value not in PROFILE_PRESETS:
             raise ConfigurationError(f"unknown platform profile preset: {value!r}")
         return PROFILE_PRESETS[value]
     if isinstance(value, dict):
-        types = {f.name: f.type for f in fields(PlatformProfile)}
-        unknown = sorted(set(value) - set(types))
-        if unknown:
-            raise ValidationFailure([f"unknown profile field: {name!r}" for name in unknown])
-        return PlatformProfile(**{name: _READ_FIELD[types[name]](given)
-                                  for name, given in value.items() if given is not None})
+        return read_object(PlatformProfile, value, read_field=_READ_FIELD)
     raise ConfigurationError(f"unrecognized profile entry: {value!r}")
 
 
@@ -516,12 +513,6 @@ class _JSONHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):  # keep benchmark output clean
         pass
-
-    def finish(self) -> None:
-        # The inbound connection has ended, and with it this thread: close
-        # the connections its functions opened to other functions and services.
-        httpjson.close_thread_connections()
-        super().finish()
 
     def _handle(self) -> None:
         # Always drain the body first: an unread body desyncs keep-alive,

@@ -147,7 +147,11 @@ class CallContext:
         """Send ``request`` between a ``<kind>_start`` and a ``<kind>_end`` event.
 
         A transport failure still emits the end event, marked as an error,
-        before it propagates.
+        before it propagates. Every call opens its own connection, which is
+        closed after the end event, outside the span: a connection kept for
+        the next call from the same thread would add its reply stall (see
+        :mod:`befaas.httpjson`) to that call, so whether a call stalled
+        would depend on which thread ran the handler.
         """
         self._event(f"{kind}_start", call_pair_id=call_pair_id, target=target)
         try:
@@ -155,8 +159,11 @@ class CallContext:
         except (TransportError, TransportCallError):
             self._event(f"{kind}_end", call_pair_id=call_pair_id, target=target, error=True)
             raise
-        self._event(f"{kind}_end", call_pair_id=call_pair_id, target=target)
-        return response
+        else:
+            self._event(f"{kind}_end", call_pair_id=call_pair_id, target=target)
+            return response
+        finally:
+            httpjson.close_thread_connections()
 
     # -- outgoing function calls -------------------------------------------
 
@@ -188,11 +195,12 @@ class CallContext:
         """Issue several calls concurrently and idle until all returned.
 
         Each member runs :meth:`call` on a pool thread of
-        :func:`httpjson.fan_out`, off the handler thread, and opens its own
-        connection. Results come back in argument order. If any call failed,
-        the first failure in argument order is re-raised -- after every call
-        has completed, so the event stream always shows the full block. An
-        empty block returns ``[]``.
+        :func:`httpjson.fan_out`, off the handler thread, and like every
+        call opens its own connection and closes it when it ends. Results
+        come back in argument order. If any call failed, the first failure
+        in argument order is re-raised -- after every call has completed,
+        so the event stream always shows the full block. An empty block
+        returns ``[]``.
         """
         futures = httpjson.fan_out(
             [functools.partial(self.call, target, payload) for target, payload in calls])

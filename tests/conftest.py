@@ -5,7 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from befaas import httpjson
 from befaas.simplatform import KVService, SimPlatform, profile_from_config
+
+
+@pytest.fixture(autouse=True)
+def close_test_thread_connections():
+    """Close the connections a test's own calls left cached on the main thread."""
+    yield
+    httpjson.close_thread_connections()
 
 
 @pytest.fixture

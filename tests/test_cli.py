@@ -196,11 +196,25 @@ MISTYPED = {
     "workflow weight": lambda c: c.update(
         workflows=[{"name": "w", "weight": "0.5", "steps": ["home"]}]),
     "workflows object": lambda c: c.update(workflows={"w": {"weight": 1, "steps": ["home"]}}),
+    "string invoke_overhead_ms": lambda c: c["platforms"]["a"]["profile"].update(
+        invoke_overhead_ms="5"),
+    "boolean clock_skew_ms": lambda c: c["platforms"]["a"]["profile"].update(clock_skew_ms=True),
+    "fractional max_executors": lambda c: c["platforms"]["a"]["profile"].update(
+        max_executors=2.7),
+    "boolean delay": lambda c: c["platforms"]["a"]["profile"].update(network_delay_ms=True),
+    "string lognormal mu": lambda c: c["platforms"]["a"]["profile"].update(
+        network_delay_ms={"dist": "lognormal", "mu": "1", "sigma": 0.5}),
+    "boolean lognormal sigma": lambda c: c["platforms"]["a"]["profile"].update(
+        cold_start_delay_ms={"dist": "lognormal", "mu": 1, "sigma": True}),
+    "load profile key": lambda c: c["load_profile"].update(nmae="x"),
+    "load profile name": lambda c: c["load_profile"].update(name=5),
 }
 
 # compile reads neither the seed, nor the platform profiles, nor the load side
 RUN_ONLY = {"seed", "profile field", "phase duration_s", "phase key", "workflow weight",
-            "workflows object"}
+            "workflows object", "string invoke_overhead_ms", "boolean clock_skew_ms",
+            "fractional max_executors", "boolean delay", "string lognormal mu",
+            "boolean lognormal sigma", "load profile key", "load profile name"}
 
 
 @pytest.mark.parametrize("command, defect", [

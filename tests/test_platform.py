@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import random
 import socket
+import statistics
 import threading
 import time
 import warnings
@@ -9,7 +11,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from befaas import httpjson, registry
+from befaas import analyzer, httpjson, loadgen, registry
 from befaas.compiler import Application, DeploymentArtifact, compile_deployment, function_endpoint
 from befaas.errors import TransportCallError, TransportError
 from befaas.simplatform import (
@@ -320,6 +322,8 @@ class TestColdStarts:
                 invoke(platform, "sleepy", {"sleep_s": 0.05})
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
+            finally:
+                httpjson.close_thread_connections()
 
         threads = [threading.Thread(target=hit) for _ in range(5)]
         for t in threads:
@@ -371,6 +375,8 @@ class TestQueuePolicies:
                 results.append(invoke(platform, "sleepy", {"sleep_s": sleep_s}))
             except TransportCallError as exc:
                 errors.append(exc.status)
+            finally:
+                httpjson.close_thread_connections()
 
         threads = [threading.Thread(target=hit) for _ in range(count)]
         for t in threads:
@@ -492,13 +498,15 @@ class TestProfiles:
             PlatformProfile(invoke_overhead_ms=-1)
         with pytest.raises(ValueError):
             PlatformProfile(max_executors=0)
-        with pytest.raises(ValueError):
-            DelaySpec.parse(-3)
+        for bad in (-3, True, "5", {"dist": "lognormal", "mu": "1", "sigma": 0.5},
+                    {"dist": "lognormal", "mu": 1, "sigma": True}):
+            with pytest.raises(ValueError):
+                DelaySpec.parse(bad)
 
     def test_inline_profile_reads_each_field_by_its_type(self):
         profile = profile_from_config({
             "name": "x", "cold_start_delay_ms": 5, "invoke_overhead_ms": 1,
-            "executor_idle_timeout_s": 2, "max_executors": "3",
+            "executor_idle_timeout_s": 2, "max_executors": 3,
             "queue_policy": "queue_when_busy",
             "network_delay_ms": {"dist": "lognormal", "mu": 1, "sigma": 0.5},
             "clock_skew_ms": 4,
@@ -626,8 +634,7 @@ def test_stop_closes_the_keep_alive_connections_clients_hold(make_platform, make
         httpjson.post_json(url, doc, timeout=2.0)
 
 
-def test_handler_threads_close_the_connections_their_functions_opened(make_platform, make_kv):
-    kv, platform = make_kv(), make_platform()
+def deploy_webshop(platform, kv):
     config = {
         "functions": {fn: {"platform": "sim"} for fn in APP.function_names},
         "platforms": {"sim": {"admin_endpoint": platform.base_url}},
@@ -635,18 +642,59 @@ def test_handler_threads_close_the_connections_their_functions_opened(make_platf
     }
     for artifact in compile_deployment(APP, config):
         platform.deploy_artifact(artifact.to_doc())
+
+
+def handler_threads(before):
+    return [t for t in set(threading.enumerate()) - before
+            if t.name.endswith("(process_request_thread)")]
+
+
+def test_handler_threads_close_the_connections_their_functions_opened(make_platform, make_kv):
+    kv, platform = make_kv(), make_platform()
+    deploy_webshop(platform, kv)
     before = set(threading.enumerate())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        # frontend -> getcart -> cartkvstorage -> KV: three outgoing connections
+        # frontend -> getcart -> cartkvstorage -> KV: each call closes its
+        # connection when it ends, so the three inner handler threads end
+        # too; the test's kept-alive connection holds the inbound one.
         invoke(platform, "frontend", {"action": "viewCart", "user_id": "u1"})
-        handlers = [t for t in set(threading.enumerate()) - before
-                    if t.name.endswith("(process_request_thread)")]
+        deadline = time.monotonic() + 2.0
+        while len(alive := handler_threads(before)) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(alive) == 1
         httpjson.close_thread_connections()
         platform.stop()
         kv.stop()
-        for thread in handlers:
+        for thread in alive:
             thread.join(timeout=5.0)
         gc.collect()
-    assert len(handlers) == 4 and not any(thread.is_alive() for thread in handlers)
+    assert handler_threads(before) == []
     assert [str(w.message) for w in caught if "unclosed <socket" in str(w.message)] == []
+
+
+def test_no_call_inside_a_trace_waits_out_a_reused_connections_reply_stall(make_platform,
+                                                                           make_kv):
+    # Every delay is zero, so each network and query share is transport cost
+    # alone. The frontend's handler thread serves all 40 requests of the one
+    # kept-alive client connection. A connection a handler thread kept from
+    # one call to the next would make a reply wait >= 40 ms (the delayed-ACK
+    # timer); the second KV query of every addToCart would. The bound on
+    # every share is half that, not the median's 5 ms: a pause of this
+    # process (5-15 ms, now and then) can land inside any one share.
+    kv, platform = make_kv(), make_platform()
+    deploy_webshop(platform, kv)
+    frontend = function_endpoint(platform.base_url, "frontend")
+    for action in ("search", "addToCart"):
+        spec = loadgen.WorkflowSpec(action, 1.0, (action,))
+        for i in range(20):
+            records = loadgen.execute_workflow(spec, frontend, random.Random(i), i,
+                                               close_connections=False)
+            assert records[0].status == "ok", records[0]
+    events = [json.loads(line) for fn in APP.function_names for line in platform.fetch_logs(fn)]
+    breakdowns = [analyzer.decompose(tree) for tree in analyzer.assemble(events)]
+    networks = [edge.network_us / 1000 for b in breakdowns for edge in b.per_call]
+    queries = [query.query_us / 1000 for b in breakdowns for query in b.per_query]
+    assert len(breakdowns) == 40 and len(networks) == 60 and len(queries) == 40
+    for shares in (networks, queries):
+        assert statistics.median(shares) < 5.0 and max(shares) < 20.0, sorted(shares)[-5:]
