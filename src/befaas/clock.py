@@ -1,9 +1,12 @@
 """Wall-clock timestamps and precise delay injection.
 
 Timestamps are integer microseconds since the Unix epoch. Injected delays
-use a deadline loop instead of a bare ``time.sleep``: on Linux a 10 ms
-sleep overshoots by ~0.6 ms, which would bias recovered network/query
-latencies; the deadline loop lands within ~10 us.
+use a deadline loop instead of a bare ``time.sleep``, whose overshoot
+would bias recovered network/query latencies. Measured on Linux with
+Python 3.11.7 (2 vCPUs, 400 sleeps of 10 ms, three rounds), a plain
+sleep overshot by a median of 98-100 us and the deadline loop by 31-35 us.
+A pause of the process can still make either late by a millisecond or
+more now and then.
 """
 from __future__ import annotations
 

@@ -10,12 +10,14 @@ reused connection takes ~44 ms: those servers write the headers and the
 body of a reply separately with Nagle's algorithm on, so the body waits for
 the client's delayed ACK.
 
-A function's calls and KV queries never reuse a connection: each closes
-the calling thread's connections when it ends
-(:meth:`befaas.tracing.CallContext._round_trip`, :func:`fan_out`), so no
-span inside a trace pays the stall. It remains on the connections callers
-keep: the load generator's kept-alive connection to the frontend and the
-admin calls.
+No hop of a ``befaas run`` reuses a connection, so none pays the stall:
+a function's calls and KV queries close the calling thread's connections
+when they end (:meth:`befaas.tracing.CallContext._round_trip`), the
+lifecycle admin calls run through :func:`fan_out`, and the load generator
+closes its connection after each request
+(:func:`befaas.loadgen.execute_workflow`). The stall remains only on the
+connections a caller keeps: ``execute_workflow(close_connections=False)``
+and admin calls made one after another from one thread.
 """
 from __future__ import annotations
 

@@ -336,10 +336,15 @@ def execute_workflow(
     """Run one workflow: steps sequentially, each awaiting the previous.
 
     A transport failure abandons the remaining steps of this workflow (but
-    never affects other workflows); the failing step is recorded. Callers
-    that hammer workflows from one thread can pass
-    ``close_connections=False`` to keep the connection warm between
-    workflows (and close once at the end).
+    never affects other workflows); the failing step is recorded.
+
+    By default each step opens its own connection: the calling thread's
+    connections are closed after each step's record, so no step waits out
+    the reply stall of a reused connection (see :mod:`befaas.httpjson`).
+    The close falls after ``recv_ts_us`` is taken, so it is not part of
+    the client latency; the connect is. Callers that hammer workflows
+    from one thread can pass ``close_connections=False`` to keep one
+    connection warm across steps and workflows (and close it themselves).
     """
     rng = rng or random.Random()
     state: dict = {}
@@ -371,6 +376,8 @@ def execute_workflow(
                     context_id=context_id,
                 )
             )
+            if close_connections:
+                httpjson.close_thread_connections()
             if status == "transport_error":
                 break
     finally:

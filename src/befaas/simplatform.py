@@ -45,18 +45,25 @@ class DelaySpec:
     mu: float | None = None
     sigma: float | None = None
 
+    FORM = 'a number >= 0 or {"dist": "lognormal", "mu": <number>, "sigma": <number >= 0>}'
+
+    @staticmethod
+    def accepts(value) -> bool:
+        """Whether ``value`` has the whole shape of :attr:`FORM`."""
+        if is_number(value):
+            return value >= 0
+        return (type(value) is dict and value.keys() == {"dist", "mu", "sigma"}
+                and value["dist"] == "lognormal"
+                and is_number(value["mu"]) and is_number(value["sigma"]) and value["sigma"] >= 0)
+
     @classmethod
     def parse(cls, value) -> "DelaySpec":
-        """Read a number >= 0 or ``{"dist": "lognormal", "mu": m, "sigma": s}``
-        with numbers ``m`` and ``s``; raise ValueError for anything else."""
+        """Read a delay of :attr:`FORM`; raise ValueError for anything else."""
+        if not cls.accepts(value):
+            raise ValueError(f"a delay must be {cls.FORM}, not {value!r}")
         if is_number(value):
-            if value < 0:
-                raise ValueError(f"delay must be >= 0, got {value}")
             return cls(constant_ms=float(value))
-        if (isinstance(value, dict) and value.get("dist") == "lognormal"
-                and is_number(value.get("mu")) and is_number(value.get("sigma"))):
-            return cls(mu=float(value["mu"]), sigma=float(value["sigma"]))
-        raise ValueError(f"unrecognized delay spec: {value!r}")
+        return cls(mu=float(value["mu"]), sigma=float(value["sigma"]))
 
     def sample(self, rng: random.Random) -> float:
         if self.constant_ms is not None:
@@ -111,9 +118,9 @@ PROFILE_PRESETS: dict[str, PlatformProfile] = {
 }
 
 
-#: A delay's number or object is checked in full by :meth:`DelaySpec.parse`.
-_READ_FIELD = {**READ_FIELD, "DelaySpec": (
-    "a number or an object", lambda v: is_number(v) or type(v) is dict, DelaySpec.parse)}
+#: A delay field is checked in full before it is read, so each bad one is
+#: its own violation line.
+_READ_FIELD = {**READ_FIELD, "DelaySpec": (DelaySpec.FORM, DelaySpec.accepts, DelaySpec.parse)}
 
 
 def profile_from_config(value) -> PlatformProfile:

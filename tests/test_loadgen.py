@@ -3,6 +3,7 @@ import http.server
 import json
 import math
 import random
+import statistics
 import threading
 import time
 
@@ -26,7 +27,7 @@ from befaas.loadgen import (
     run_profile,
 )
 
-from test_platform import TEST_APP, artifact_for  # reuse the sleepy test app
+from test_platform import TEST_APP, artifact_for, deploy_webshop  # reuse the test apps
 
 
 def profile_integral(profile, t_s):
@@ -251,6 +252,35 @@ class TestExecuteWorkflow:
         records = execute_workflow(SLEEPY_WORKFLOW, endpoint, random.Random(1), timeout_s=2.0)
         assert records[0].status == "transport_error"
         assert len(records) == 1  # abandoned after the failing step
+
+
+def test_no_step_of_a_workflow_waits_out_a_reused_connections_reply_stall(
+        make_platform, make_kv, monkeypatch):
+    # Every delay is zero, so a step's client latency is the harness's own
+    # cost: a few ms. A connection kept from one step to the next would
+    # make the reply of every later step wait >= 40 ms (the delayed-ACK
+    # timer). The bound on every latency is half that, not the median's
+    # 5 ms: a pause of this process (5-15 ms, now and then) can land
+    # inside any one request.
+    kv, platform = make_kv(), make_platform()
+    deploy_webshop(platform, kv)
+    frontend = function_endpoint(platform.base_url, "frontend")
+    cached_at_send = []
+    real_post_json = httpjson.post_json
+
+    def watched_post_json(url, doc, timeout):
+        cached_at_send.append(dict(httpjson._connections()))
+        return real_post_json(url, doc, timeout)
+
+    monkeypatch.setattr(httpjson, "post_json", watched_post_json)
+    window_shopper = next(w for w in WORKFLOW_PRESETS if w.name == "window-shopper")
+    records = [record for i in range(20)
+               for record in execute_workflow(window_shopper, frontend, random.Random(i), i)]
+    assert len(records) == 100 and all(r.status == "ok" for r in records)
+    # Each step, the first included, finds the thread holding no connection.
+    assert cached_at_send == [{}] * 100
+    latencies = [(r.recv_ts_us - r.send_ts_us) / 1000 for r in records]
+    assert statistics.median(latencies) < 5.0 and max(latencies) < 20.0, sorted(latencies)[-5:]
 
 
 @pytest.fixture

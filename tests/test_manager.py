@@ -10,7 +10,7 @@ from befaas.bundle import ResultsBundle
 from befaas.compiler import validate
 from befaas.errors import RuntimeFailure, ValidationFailure
 from befaas.manager import ExperimentPlan, collect_logs, run_experiment
-from befaas.simplatform import AdminClient, SimPlatform, profile_from_config
+from befaas.simplatform import AdminClient, DelaySpec, SimPlatform, profile_from_config
 from befaas.webshop import build_app
 
 APP = build_app()
@@ -78,6 +78,11 @@ def test_mini_run_produces_complete_bundle(tmp_path):
     assert removed == {f"a/{fn}" for fn in APP.function_names}
     assert any(e["action"] == "stop_platform" for e in trail)
     assert any(e["action"] == "stop_service" for e in trail)
+
+    # audit.json keeps one launch lag per scheduled workflow: the benchmark
+    # adds each to its workflow's first-step latency.
+    lags = json.loads((tmp_path / "bundle" / "audit.json").read_text())["launch_lags_ms"]
+    assert len(lags) == 8 and all(type(lag) is float and lag >= 0 for lag in lags)
 
     # The bundle reads back identically.
     again = ResultsBundle.read(out)
@@ -364,6 +369,34 @@ def test_check_reports_every_bad_entry_at_once(tmp_path, constructions):
     # Rows that set the same key overwrite one another: the seed (3 rows),
     # the load profile (5) and the workflows (6).
     assert len(err.value.violations) == len(BAD_CONFIGS) - 1 - 2 - 4 - 5
+    assert constructions == {"SimPlatform": 0, "KVService": 0}
+
+
+BAD_DELAYS = {
+    "string lognormal mu": {"network_delay_ms": {"dist": "lognormal", "mu": "1", "sigma": 0.5}},
+    "boolean lognormal sigma": {"cold_start_delay_ms": {"dist": "lognormal", "mu": 1,
+                                                        "sigma": True}},
+    "negative lognormal sigma": {"network_delay_ms": {"dist": "lognormal", "mu": 1,
+                                                      "sigma": -0.5}},
+    "other dist": {"network_delay_ms": {"dist": "normal", "mu": 1, "sigma": 0.5}},
+    "lognormal without sigma": {"network_delay_ms": {"dist": "lognormal", "mu": 1}},
+    "unknown lognormal key": {"network_delay_ms": {"dist": "lognormal", "mu": 1, "sigma": 0.5,
+                                                   "shift": 2}},
+    "string delay": {"cold_start_delay_ms": "5"},
+    "two negative delays": {"cold_start_delay_ms": -3, "network_delay_ms": -1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DELAYS))
+def test_each_bad_delay_field_is_its_own_violation(tmp_path, constructions, name):
+    bad = BAD_DELAYS[name]
+    config = make_config()
+    config["platforms"]["a"]["profile"].update(bad)
+    with pytest.raises(ValidationFailure) as err:
+        run_experiment(ExperimentPlan(config=config, out_dir=str(tmp_path / "x")))
+    assert err.value.violations == [
+        f"platform a: {field} must be {DelaySpec.FORM}, not {value!r}"
+        for field, value in bad.items()]
     assert constructions == {"SimPlatform": 0, "KVService": 0}
 
 
